@@ -28,7 +28,6 @@ from .asymptotics import (
     mf_asymptotic_uniform,
     mmse_fixed_point_selective,
     mmse_fixed_point_uniform,
-    ofdma_asymptotic_sinr,
     proposition1_check,
     supportable_load,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "mmse_fixed_point_selective",
     "mmse_fixed_point_uniform",
     "mmse_sinr_exact",
-    "ofdma_asymptotic_sinr",
     "proposition1_check",
     "simulate_uplink_frame",
     "solve_p1",

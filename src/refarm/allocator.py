@@ -42,6 +42,14 @@ LN2 = np.log(2.0)
 #: step_scale / (sqrt(t) * (1 + ||subgradient||)).
 DEFAULT_STEP_SCALE = 0.1
 
+#: Share of the dual iterates, counted back from the latest, whose average
+#: prices the assignment handed to each primal recovery.
+AVERAGING_FRACTION = 0.1
+
+#: Instances with at most this many assignments (K**N) are also solved by
+#: enumerating every assignment through the exact restricted solve.
+EXHAUSTIVE_LIMIT = 4096
+
 
 @dataclass
 class AllocationProblem:
@@ -91,6 +99,8 @@ class PowerAllocation:
     @classmethod
     def from_powers(cls, powers: np.ndarray) -> "PowerAllocation":
         powers = np.asarray(powers, dtype=float)
+        if powers.shape[0] == 0:  # no users: argmax has nothing to scan
+            return cls(powers=powers, assignment=np.full(powers.shape[1], -1))
         positive = powers > 0
         owner = np.where(positive.any(axis=0), positive.argmax(axis=0), -1)
         return cls(powers=powers, assignment=owner)
@@ -136,10 +146,6 @@ class DualState:
         if self.delta < 0 or np.any(self.lambdas < 0):
             raise InvalidParameterError("dual variables must be >= 0")
 
-    @property
-    def gap(self) -> float:
-        return self.gap_trace[-1] if self.gap_trace else float("inf")
-
 
 @dataclass
 class SolverOptions:
@@ -148,10 +154,18 @@ class SolverOptions:
     step_scale: float | None = None  # default 0.1 * max(1, 1/margin)
     delta_init: float = 0.01
     lambda_init: float = 0.1
-    averaging_fraction: float = 0.1
     check_interval: int = 250
-    exhaustive_limit: int = 4096
     record_trace: bool = False
+
+    def __post_init__(self):
+        checks = [
+            (self.max_iterations >= 1, "max_iterations >= 1"),
+            (self.gap_tolerance > 0, "gap_tolerance > 0"),
+            (self.check_interval >= 1, "check_interval >= 1"),
+        ]
+        for ok, name in checks:
+            if not ok:
+                raise InvalidParameterError(f"invariant violated: {name}")
 
 
 class WaterfillResult(NamedTuple):
@@ -175,25 +189,15 @@ def throughput(problem: AllocationProblem, powers: np.ndarray) -> float:
 # Per-subcarrier pieces of the dual decomposition
 # ---------------------------------------------------------------------------
 
-def power_candidate(delta: float, lambda_k: float, gain: float, noise_floor: float) -> float:
-    """Stationary per-subcarrier power at the given dual prices.
-
-    p = [1/((lambda_k + delta*g) ln 2) - floor/g]^+.  With delta = 0 this
-    is a water-filling level set by lambda_k; with lambda_k = 0 the
-    received power p*g is the same on every subcarrier (channel inverse).
-    """
-    if gain == 0:
-        return 0.0
-    price = lambda_k + delta * gain
-    if price <= 0:
-        raise InvalidParameterError(
-            "unbounded candidate: at least one dual price must be positive"
-        )
-    return max(0.0, 1.0 / (price * LN2) - noise_floor / gain)
-
-
 def _candidate_matrix(gains, noise_floor, delta, lambdas, caps):
-    """Vectorized candidates for all (user, subcarrier), clipped at the caps."""
+    """Stationary power for every (user, subcarrier) at the given dual prices.
+
+    p = [1/((lambda_k + delta*g) ln 2) - floor/g]^+, clipped at the user's
+    cap.  With delta = 0 this is a water-filling level set by lambda_k;
+    with lambda_k = 0 the received power p*g is the same on every
+    subcarrier (channel inverse); with both prices zero it is the cap.
+    Zero-gain entries get zero power.
+    """
     price = lambdas[:, None] + delta * gains
     safe_gain = np.where(gains > 0, gains, 1.0)
     with np.errstate(divide="ignore"):
@@ -204,29 +208,17 @@ def _candidate_matrix(gains, noise_floor, delta, lambdas, caps):
 
 
 def _scores(gains, noise_floor, powers, delta, lambdas):
+    """Per-(user, subcarrier) Lagrangian score of the candidate powers."""
     rate = np.log2(1.0 + powers * gains / noise_floor)
     return rate - lambdas[:, None] * powers - delta * powers * gains
 
 
-def assign_subcarrier(candidates, gains_column, noise_floor, delta, lambdas) -> int:
-    """Winner of one subcarrier at the given prices, or -1 for nobody.
-
-    Exact score ties break toward the lowest user index (determinism).
-    """
-    candidates = np.asarray(candidates, dtype=float)
-    gains_column = np.asarray(gains_column, dtype=float)
-    lambdas = np.asarray(lambdas, dtype=float)
-    scores = (
-        np.log2(1.0 + candidates * gains_column / noise_floor)
-        - lambdas * candidates
-        - delta * candidates * gains_column
-    )
-    winner = int(np.argmax(scores))
-    return winner if scores[winner] > 0.0 else -1
-
-
 def _assign_all(problem, delta, lambdas):
-    """Exclusive candidate allocation and per-subcarrier best scores."""
+    """Exclusive candidate allocation and per-subcarrier best scores.
+
+    Each subcarrier goes to its best-scoring user, or to nobody (-1) when
+    no score is positive; exact ties break toward the lowest user index.
+    """
     gains = problem.gains
     powers = _candidate_matrix(gains, problem.noise_floor, delta, lambdas, problem.power_caps)
     scores = _scores(gains, problem.noise_floor, powers, delta, lambdas)
@@ -260,14 +252,13 @@ def _subgradient(problem, powers):
     return np.concatenate(([problem.margin - sbar], problem.power_caps - powers.sum(axis=1)))
 
 
-def subgradient_step(state: DualState, alloc, problem: AllocationProblem) -> DualState:
+def subgradient_step(state: DualState, powers, problem: AllocationProblem) -> DualState:
     """One projected subgradient update of the dual prices.
 
     Moves opposite the constraint-slack vector with a diminishing,
     norm-scaled step and projects back onto the nonnegative orthant; a
     violated constraint therefore raises its price.
     """
-    powers = alloc.powers if isinstance(alloc, PowerAllocation) else np.asarray(alloc)
     d = _subgradient(problem, powers)
     t = state.iteration + 1
     step = state.step_scale / (np.sqrt(t) * (1.0 + np.linalg.norm(d)))
@@ -434,6 +425,8 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
         alloc = PowerAllocation.from_powers(np.zeros((n_users, n)))
         state.trivial = True
         state.converged = True
+        state.kkt_delta = 0.0
+        state.kkt_lambdas = np.zeros(n_users)
         state.gap_trace.append(0.0)
         return alloc, state, 0.0
 
@@ -443,7 +436,7 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
     dual_history = []
 
     def averaged_duals():
-        window = max(1, int(opts.averaging_fraction * len(dual_history)))
+        window = max(1, int(AVERAGING_FRACTION * len(dual_history)))
         tail = np.asarray(dual_history[-window:])
         return float(tail[:, 0].mean()), tail[:, 1:].mean(axis=0)
 
@@ -504,7 +497,7 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
 
     # Tiny instances: enumerate every assignment through the exact
     # restricted solve; the dual bound is genuinely loose at small N.
-    if n_users >= 1 and n_users**n <= opts.exhaustive_limit:
+    if n_users >= 1 and n_users**n <= EXHAUSTIVE_LIMIT:
         for combo in itertools.product(range(n_users), repeat=n):
             owner = np.asarray(combo)
             powers, kkt_delta, kkt_lams = _solve_fixed_assignment(problem, owner)

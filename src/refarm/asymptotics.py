@@ -94,6 +94,8 @@ def mf_asymptotic_uniform(alpha, q, mean_interference, sigma2) -> float:
 
 
 def _iterate_fixed_point(update, x0, tol, max_iter):
+    if max_iter < 1:
+        raise InvalidParameterError("max_iter must be >= 1")
     x = x0
     for iteration in range(1, max_iter + 1):
         x_next = update(x)
@@ -156,12 +158,7 @@ def mmse_fixed_point_uniform(
     _validate_positive(q=q, sigma2=sigma2)
     if alpha < 0:
         raise InvalidParameterError("alpha must be >= 0")
-    if profile is None or np.isscalar(profile):
-        prof = np.atleast_1d(0.0 if profile is None else float(profile))
-        if prof[0] < 0:
-            raise InvalidParameterError("interference powers must be >= 0")
-    else:
-        prof = profile_array(profile, np.shape(getattr(profile, "per_subcarrier", profile))[0])
+    prof = profile_array(profile)
     start = q / sigma2 if x0 is None else float(x0)
     if start <= 0:
         raise InvalidParameterError("start point must be > 0")
@@ -212,10 +209,7 @@ def proposition1_check(beta_star, alpha, q, sigma2, profile) -> bool:
     the target; evaluates the self-consistent map once at the target.
     """
     _validate_positive(q=q, sigma2=sigma2, beta_star=beta_star)
-    if np.isscalar(profile) or profile is None:
-        prof = np.atleast_1d(0.0 if profile is None else float(profile))
-    else:
-        prof = profile_array(profile, np.shape(getattr(profile, "per_subcarrier", profile))[0])
+    prof = profile_array(profile)
     lhs = float(np.mean(q / (alpha * q / (1.0 + beta_star) + prof + sigma2)))
     return lhs >= beta_star * (1.0 - 1e-12)
 
@@ -228,18 +222,9 @@ def jensen_reinforcement_gap(beta, alpha, q, sigma2, profile) -> tuple[float, fl
     equality exactly on uniform profiles.
     """
     _validate_positive(q=q, sigma2=sigma2)
-    if np.isscalar(profile) or profile is None:
-        prof = np.atleast_1d(0.0 if profile is None else float(profile))
-    else:
-        prof = profile_array(profile, np.shape(getattr(profile, "per_subcarrier", profile))[0])
+    prof = profile_array(profile)
     base = alpha * q / (1.0 + beta) + sigma2
     lhs = float(np.mean(q / (base + prof)))
     rhs = float(q / (base + prof.mean()))
     return lhs, rhs
 
-
-def ofdma_asymptotic_sinr(p, g, alpha, q, sigma2) -> float:
-    """OFDMA per-subcarrier SINR over the CDMA-plus-noise floor."""
-    if p < 0 or g < 0:
-        raise InvalidParameterError("power and gain must be >= 0")
-    return p * g / (alpha * q + sigma2)

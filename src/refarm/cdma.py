@@ -94,20 +94,26 @@ class InterferenceProfile:
         return cls(np.sum(powers * gains, axis=0))
 
 
-def profile_array(profile, n_subcarriers: int) -> np.ndarray:
-    """Coerce an InterferenceProfile, vector, or scalar level to length N."""
+def profile_array(profile, n_subcarriers: int | None = None) -> np.ndarray:
+    """Coerce an InterferenceProfile, vector, scalar level or None to a vector.
+
+    A scalar level (None meaning 0) fills ``n_subcarriers`` entries, or a
+    single entry when no length is given; a vector must have the given
+    length.  Raises InvalidParameterError on any negative power.
+    """
     if isinstance(profile, InterferenceProfile):
         values = profile.per_subcarrier
-    elif profile is None:
-        return np.zeros(n_subcarriers)
-    elif np.isscalar(profile):
-        return np.full(n_subcarriers, float(profile))
+    elif profile is None or np.isscalar(profile):
+        level = 0.0 if profile is None else float(profile)
+        values = np.full(1 if n_subcarriers is None else n_subcarriers, level)
     else:
         values = np.asarray(profile, dtype=float)
-    if values.shape != (n_subcarriers,):
+    if values.ndim != 1 or (n_subcarriers is not None and values.size != n_subcarriers):
         raise InvalidParameterError(
             f"profile length {values.shape} does not match {n_subcarriers} subcarriers"
         )
+    if np.any(values < 0):
+        raise InvalidParameterError("interference powers must be >= 0")
     return values
 
 
@@ -133,10 +139,6 @@ class SinrReport:
     @property
     def mean(self) -> float:
         return float(np.mean(self.per_user))
-
-    @property
-    def variance(self) -> float:
-        return float(np.var(self.per_user))
 
 
 def _check_signatures(signatures):

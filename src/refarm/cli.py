@@ -28,14 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from . import cli_io
-from .allocator import AllocationProblem, solve_p1
-from .cdma import InterferenceProfile
-from .channel import gen_channel_set
 from .errors import ConfigError, InvalidParameterError, NumericalError
 from .experiments import (
     DEFAULT_SEED,
+    MARGIN_COLUMNS,
     VALIDATION_COLUMNS,
     SweepSpec,
+    margin_rows,
+    run_allocation,
     run_allocation_snapshot,
     run_convergence_trace,
     run_load_sweep,
@@ -91,72 +91,18 @@ def _sweep_spec(settings, parameter, args, grid=None):
 
 def _cmd_margin(settings, args, out):
     path = out / "margin.csv"
-    cli_io.emit_csv(cli_io.margin_rows(settings), cli_io.MARGIN_COLUMNS, path)
+    cli_io.emit_csv(margin_rows(settings.system), MARGIN_COLUMNS, path)
     return [path]
 
 
 def _cmd_allocate(settings, args, out):
-    from .asymptotics import interference_margin
-
-    cfg = settings.system
-    result = interference_margin(cfg.alpha, cfg.q, cfg.sigma2, cfg.beta_star, settings.receiver)
-    rng = np.random.default_rng(args.seed)
-    gains = gen_channel_set(cfg.replace(cdma_users=0), settings.channel_model, rng).ofdma_gains
-    problem = AllocationProblem(
-        gains=gains,
-        noise_floor=cfg.noise_floor,
-        margin=result.margin,
-        power_caps=np.asarray(cfg.power_caps),
+    snapshot, summary = run_allocation(
+        settings.system, settings.receiver, settings.channel_model, args.seed, settings.solver
     )
-    alloc, state, rate = solve_p1(problem, settings.solver)
-    profile = InterferenceProfile.from_allocation(alloc.powers, gains)
-
-    n_users = problem.n_users
-    columns = ["subcarrier", "owner", "power", "received_power"] + [
-        f"gain_{k + 1}" for k in range(n_users)
-    ]
-    rows = []
-    for sc in range(problem.n_subcarriers):
-        owner = int(alloc.assignment[sc])
-        power = float(alloc.powers[owner, sc]) if owner >= 0 else 0.0
-        row = {
-            "subcarrier": sc,
-            "owner": owner,
-            "power": power,
-            "received_power": power * gains[owner, sc] if owner >= 0 else 0.0,
-        }
-        for k in range(n_users):
-            row[f"gain_{k + 1}"] = gains[k, sc]
-        rows.append(row)
     alloc_path = out / "allocation.csv"
-    cli_io.emit_csv(rows, columns, alloc_path)
-
-    summary_cols = [
-        "receiver",
-        "alpha",
-        "margin",
-        "feasible",
-        "throughput",
-        "mean_interference",
-        "duality_gap",
-        "iterations",
-        "converged",
-    ] + [f"power_{k + 1}" for k in range(n_users)]
-    summary = {
-        "receiver": settings.receiver,
-        "alpha": cfg.alpha,
-        "margin": result.margin,
-        "feasible": result.feasible,
-        "throughput": rate,
-        "mean_interference": profile.mean,
-        "duality_gap": state.gap_trace[-1],
-        "iterations": state.iteration,
-        "converged": state.converged,
-    }
-    for k, total in enumerate(alloc.user_totals()):
-        summary[f"power_{k + 1}"] = total
     summary_path = out / "allocation_summary.csv"
-    cli_io.emit_csv([summary], summary_cols, summary_path)
+    cli_io.emit_csv(snapshot.rows, snapshot.columns, alloc_path)
+    cli_io.emit_csv([summary], list(summary), summary_path)
     return [alloc_path, summary_path]
 
 
@@ -177,20 +123,10 @@ def _cmd_sweep_snr(settings, args, out):
     return [path]
 
 
-def _cmd_trace(settings, args, out):
-    result = run_convergence_trace(
-        settings.system, args.regime, settings.receiver, args.seed, settings.solver
-    )
-    path = out / f"trace_{args.regime}.csv"
-    cli_io.emit_csv(result.rows, result.columns, path)
-    return [path]
-
-
-def _cmd_snapshot(settings, args, out):
-    result = run_allocation_snapshot(
-        settings.system, args.regime, settings.receiver, args.seed, settings.solver
-    )
-    path = out / f"snapshot_{args.regime}.csv"
+def _cmd_regime(settings, args, out):
+    run = run_convergence_trace if args.command == "trace" else run_allocation_snapshot
+    result = run(settings.system, args.regime, settings.receiver, args.seed, settings.solver)
+    path = out / f"{args.command}_{args.regime}.csv"
     cli_io.emit_csv(result.rows, result.columns, path)
     return [path]
 
@@ -211,8 +147,8 @@ _COMMANDS = {
     "allocate": _cmd_allocate,
     "sweep-load": _cmd_sweep_load,
     "sweep-snr": _cmd_sweep_snr,
-    "trace": _cmd_trace,
-    "snapshot": _cmd_snapshot,
+    "trace": _cmd_regime,
+    "snapshot": _cmd_regime,
     "validate": _cmd_validate,
 }
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocator import SolverOptions
-from .config import CHANNEL_MODELS, RECEIVERS, SystemConfig, db_to_linear, linear_to_db
+from .config import CHANNEL_MODELS, RECEIVERS, SystemConfig, db_to_linear
 from .errors import ConfigError, InvalidParameterError
 
 # key -> (parser, default); None default means "derived later".
@@ -26,14 +26,12 @@ _SYSTEM_KEYS = {
     "cdma_users": ("optional_int", None),
     "ofdma_users": ("int", 2),
     "multipath": ("optional_int", None),  # default subcarriers // 8
-    "cp_length": ("optional_int", None),
     "receive_snr_db": ("float", 20.0),
     "target_sinr_db": ("float", 2.0),
     "noise_power": ("float", 1.0),
     "power_cap_db": ("float_list", (30.0,)),
     "receiver": ("choice:" + ",".join(RECEIVERS), "mf"),
     "channel_model": ("choice:" + ",".join(CHANNEL_MODELS), "selective"),
-    "bandwidth_hz": ("float", 5e6),
 }
 _SWEEP_KEYS = {
     "parameter": ("choice:alpha,receive_snr_db", "alpha"),
@@ -181,26 +179,21 @@ def parse_config(path=None, overrides=()) -> RunSettings:
             cdma_users=system["cdma_users"],
             ofdma_users=system["ofdma_users"],
             multipath_taps=system["multipath"],
-            cp_length=system["cp_length"],
             q=db_to_linear(system["receive_snr_db"]) * sigma2,
             sigma2=sigma2,
             beta_star=db_to_linear(system["target_sinr_db"]),
             power_caps=tuple(db_to_linear(db) * sigma2 for db in caps_db),
-            bandwidth_hz=system["bandwidth_hz"],
+        )
+        solver = resolved["solver"]
+        options = SolverOptions(
+            max_iterations=solver["max_iterations"],
+            gap_tolerance=solver["gap_tolerance"],
+            step_scale=solver["step_scale"],
+            delta_init=solver["delta_init"],
+            lambda_init=solver["lambda_init"],
         )
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
-
-    solver = resolved["solver"]
-    if solver["max_iterations"] < 1 or solver["gap_tolerance"] <= 0:
-        raise ConfigError("invariant violated: max_iterations >= 1 and gap_tolerance > 0")
-    options = SolverOptions(
-        max_iterations=solver["max_iterations"],
-        gap_tolerance=solver["gap_tolerance"],
-        step_scale=solver["step_scale"],
-        delta_init=solver["delta_init"],
-        lambda_init=solver["lambda_init"],
-    )
     sweep = resolved["sweep"]
     if sweep["trials"] < 1:
         raise ConfigError("invariant violated: trials >= 1")
@@ -245,9 +238,6 @@ def emit_csv(rows, columns, path):
 
 def emit_resolved_config(settings: RunSettings, path):
     """Write the fully resolved configuration; parsing it back is identity."""
-    system = settings.raw["system"]
-    sweep = settings.raw["sweep"]
-    solver = settings.raw["solver"]
 
     def text(value):
         if value is None:
@@ -258,49 +248,11 @@ def emit_resolved_config(settings: RunSettings, path):
             return repr(value)
         return str(value)
 
-    lines = ["[system]"]
-    for key in _SYSTEM_KEYS:
-        lines.append(f"{key} = {text(system[key])}")
-    lines.append("")
-    lines.append("[sweep]")
-    for key in _SWEEP_KEYS:
-        lines.append(f"{key} = {text(sweep[key])}")
-    lines.append("")
-    lines.append("[solver]")
-    for key in _SOLVER_KEYS:
-        lines.append(f"{key} = {text(solver[key])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def margin_rows(settings: RunSettings):
-    """Rows for the margin command: one per receiver."""
-    from .asymptotics import interference_margin
-
-    cfg = settings.system
-    rows = []
-    for receiver in RECEIVERS:
-        result = interference_margin(cfg.alpha, cfg.q, cfg.sigma2, cfg.beta_star, receiver)
-        rows.append(
-            {
-                "receiver": receiver,
-                "alpha": cfg.alpha,
-                "receive_snr_db": linear_to_db(cfg.q / cfg.sigma2),
-                "target_sinr_db": linear_to_db(cfg.beta_star),
-                "supportable_load": result.alpha_star,
-                "margin": result.margin,
-                "feasible": result.feasible,
-            }
+    blocks = [
+        "\n".join(
+            [f"[{section}]"] + [f"{key} = {text(settings.raw[section][key])}" for key in keys]
         )
-    return rows
-
-
-MARGIN_COLUMNS = [
-    "receiver",
-    "alpha",
-    "receive_snr_db",
-    "target_sinr_db",
-    "supportable_load",
-    "margin",
-    "feasible",
-]
+        for section, keys in _SECTIONS.items()
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n\n".join(blocks) + "\n")

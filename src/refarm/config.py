@@ -8,7 +8,7 @@ boundary and keep everything linear internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,10 +56,6 @@ class SystemConfig:
         Number of OFDMA uplink users sharing the band.
     multipath_taps : int
         Channel taps per user (uniform power delay profile).
-    cp_length : int, optional
-        Cyclic-prefix length in chips; defaults to ``multipath_taps - 1``.
-        Recorded for the symbol-level path; the frequency-domain SINR
-        formulas already assume circularity.
     q : float
         Per-user CDMA receive power (linear, units of sigma2).
     sigma2 : float
@@ -68,9 +64,6 @@ class SystemConfig:
         CDMA target SINR (linear).
     power_caps : tuple of float
         Maximum transmit power per OFDMA user (linear).
-    bandwidth_hz : float
-        Licensed bandwidth.  Informational only: chip and symbol durations
-        derive from it but no normalized computation consumes them.
     """
 
     n_subcarriers: int = 256
@@ -78,12 +71,10 @@ class SystemConfig:
     cdma_users: int | None = None
     ofdma_users: int = 2
     multipath_taps: int = 32
-    cp_length: int | None = None
     q: float = db_to_linear(DEFAULT_RECEIVE_SNR_DB)
     sigma2: float = 1.0
     beta_star: float = db_to_linear(DEFAULT_TARGET_SINR_DB)
     power_caps: tuple = field(default=None)
-    bandwidth_hz: float = 5e6
 
     def __post_init__(self):
         if self.power_caps is None:
@@ -95,8 +86,6 @@ class SystemConfig:
             self.power_caps = tuple(float(self.power_caps) for _ in range(self.ofdma_users))
         else:
             self.power_caps = tuple(float(c) for c in self.power_caps)
-        if self.cp_length is None:
-            self.cp_length = max(self.multipath_taps - 1, 0)
         if self.cdma_users is None:
             self.cdma_users = int(round(self.alpha * self.n_subcarriers))
         self.validate()
@@ -109,13 +98,11 @@ class SystemConfig:
             (self.cdma_users >= 0, "cdma_users >= 0"),
             (self.ofdma_users >= 0, "ofdma_users >= 0"),
             (1 <= l <= n, "1 <= multipath_taps <= n_subcarriers"),
-            (self.cp_length >= l - 1, "cp_length >= multipath_taps - 1"),
             (self.q > 0, "q > 0"),
             (self.sigma2 > 0, "sigma2 > 0"),
             (self.beta_star > 0, "beta_star > 0"),
             (len(self.power_caps) == self.ofdma_users, "one power cap per OFDMA user"),
             (all(c >= 0 for c in self.power_caps), "power caps >= 0"),
-            (self.bandwidth_hz > 0, "bandwidth_hz > 0"),
         ]
         for ok, name in checks:
             if not ok:
@@ -130,14 +117,6 @@ class SystemConfig:
         return linear_to_db(self.beta_star)
 
     @property
-    def chip_duration_s(self) -> float:
-        return 1.0 / self.bandwidth_hz
-
-    @property
-    def symbol_duration_s(self) -> float:
-        return self.n_subcarriers / self.bandwidth_hz
-
-    @property
     def noise_floor(self) -> float:
         """CDMA-plus-noise interference floor seen by each OFDMA subcarrier."""
         return self.alpha * self.q + self.sigma2
@@ -148,23 +127,11 @@ class SystemConfig:
         ``alpha`` and ``cdma_users`` stay consistent: changing one without
         the other re-derives the user count from the load.
         """
-        fields = dict(
-            n_subcarriers=self.n_subcarriers,
-            alpha=self.alpha,
-            cdma_users=self.cdma_users,
-            ofdma_users=self.ofdma_users,
-            multipath_taps=self.multipath_taps,
-            cp_length=self.cp_length,
-            q=self.q,
-            sigma2=self.sigma2,
-            beta_star=self.beta_star,
-            power_caps=self.power_caps,
-            bandwidth_hz=self.bandwidth_hz,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
         if ("alpha" in kwargs or "n_subcarriers" in kwargs) and "cdma_users" not in kwargs:
-            fields["cdma_users"] = None
+            values["cdma_users"] = None
         if "ofdma_users" in kwargs and "power_caps" not in kwargs:
             cap = self.power_caps[0] if self.power_caps else None
-            fields["power_caps"] = cap
-        fields.update(kwargs)
-        return SystemConfig(**fields)
+            values["power_caps"] = cap
+        values.update(kwargs)
+        return SystemConfig(**values)

@@ -14,7 +14,7 @@ produced by the resulting allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .cdma import (
     mmse_sinr_exact,
 )
 from .channel import gen_channel_set
-from .config import SystemConfig, db_to_linear
+from .config import RECEIVERS, SystemConfig, db_to_linear
 from .errors import InvalidParameterError
 
 #: Master seed used by the command-line interface when none is given.
@@ -79,8 +79,8 @@ class SweepSpec:
             raise InvalidParameterError("grid must be nonempty and strictly increasing")
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
-        if self.receiver not in ("mf", "mmse"):
-            raise InvalidParameterError("receiver must be mf or mmse")
+        if self.receiver not in RECEIVERS:
+            raise InvalidParameterError(f"receiver must be one of {RECEIVERS}")
 
 
 @dataclass
@@ -126,9 +126,58 @@ def _theory_sinr(receiver, alpha, q, profile, sigma2):
     return mmse_fixed_point_uniform(alpha, q, profile, sigma2).value
 
 
+def _allocation_instance(cfg, receiver, gains):
+    """The receiver's margin at cfg's load and the allocation problem it sets.
+
+    At an infeasible load the margin, and so the problem's budget, is zero.
+    """
+    result = interference_margin(cfg.alpha, cfg.q, cfg.sigma2, cfg.beta_star, receiver)
+    problem = AllocationProblem(
+        gains=gains,
+        noise_floor=cfg.noise_floor,
+        margin=result.margin,
+        power_caps=np.asarray(cfg.power_caps),
+    )
+    return result, problem
+
+
+def _solve_instance(cfg, receiver, model, seed, solver):
+    """Draw OFDMA gains from the master seed, then build and solve the instance.
+
+    Returns ``(margin result, problem, allocation, dual state, throughput)``.
+    """
+    master = np.random.default_rng(seed)
+    gains = gen_channel_set(cfg.replace(cdma_users=0), model, master).ofdma_gains
+    result, problem = _allocation_instance(cfg, receiver, gains)
+    alloc, state, rate = solve_p1(problem, solver)
+    return result, problem, alloc, state, rate
+
+
+def allocation_rows(alloc: PowerAllocation, gains: np.ndarray):
+    """Per-subcarrier owner/power/received-power/gain table and its columns."""
+    n_users, n = gains.shape
+    columns = ["subcarrier", "owner", "power", "received_power"] + [
+        f"gain_{k + 1}" for k in range(n_users)
+    ]
+    rows = []
+    for sc in range(n):
+        owner = int(alloc.assignment[sc])
+        power = float(alloc.powers[owner, sc]) if owner >= 0 else 0.0
+        row = {
+            "subcarrier": sc,
+            "owner": owner,
+            "power": power,
+            "received_power": power * gains[owner, sc] if owner >= 0 else 0.0,
+        }
+        for k in range(n_users):
+            row[f"gain_{k + 1}"] = gains[k, sc]
+        rows.append(row)
+    return rows, columns
+
+
 def _sweep_point(cfg, receiver, model, trials, gains, rng, solver):
     """Margin -> allocation -> profile -> theory + empirical, for one point."""
-    result = interference_margin(cfg.alpha, cfg.q, cfg.sigma2, cfg.beta_star, receiver)
+    result, problem = _allocation_instance(cfg, receiver, gains)
     row = {
         "feasible": result.feasible,
         "margin": result.margin,
@@ -140,12 +189,6 @@ def _sweep_point(cfg, receiver, model, trials, gains, rng, solver):
     }
     if not result.feasible or result.margin <= 0:
         return row
-    problem = AllocationProblem(
-        gains=gains,
-        noise_floor=cfg.noise_floor,
-        margin=result.margin,
-        power_caps=np.asarray(cfg.power_caps),
-    )
     alloc, state, rate = solve_p1(problem, solver)
     profile = InterferenceProfile.from_allocation(alloc.powers, gains)
     mean, std, _ = empirical_cdma_sinr(cfg, profile, receiver, model, trials, rng)
@@ -219,20 +262,6 @@ def _regime_config(cfg: SystemConfig, load_regime: str, receiver: str) -> System
     return cfg.replace(alpha=REGIME_LOAD_FRACTION[load_regime] * limit)
 
 
-def _build_problem(cfg, receiver, gains):
-    result = interference_margin(cfg.alpha, cfg.q, cfg.sigma2, cfg.beta_star, receiver)
-    if not result.feasible:
-        raise InvalidParameterError(
-            f"load {cfg.alpha} infeasible for {receiver} at this operating point"
-        )
-    return AllocationProblem(
-        gains=gains,
-        noise_floor=cfg.noise_floor,
-        margin=result.margin,
-        power_caps=np.asarray(cfg.power_caps),
-    )
-
-
 def run_convergence_trace(
     cfg: SystemConfig,
     load_regime: str,
@@ -246,12 +275,8 @@ def run_convergence_trace(
     iterate, so the trace ends on the returned allocation.
     """
     point = _regime_config(cfg, load_regime, receiver)
-    master = np.random.default_rng(seed)
-    gains = gen_channel_set(point.replace(cdma_users=0), "selective", master).ofdma_gains
-    problem = _build_problem(point, receiver, gains)
-    options = solver or SolverOptions()
-    options = SolverOptions(**{**vars(options), "record_trace": True})
-    alloc, state, rate = solve_p1(problem, options)
+    options = replace(solver or SolverOptions(), record_trace=True)
+    _, problem, alloc, state, rate = _solve_instance(point, receiver, "selective", seed, options)
 
     n_users = problem.n_users
     columns = (
@@ -260,30 +285,23 @@ def run_convergence_trace(
         + ["throughput", "mean_interference"]
         + [f"power_{k + 1}" for k in range(n_users)]
     )
-    rows = []
-    for record in state.trace:
-        row = {
-            "iteration": record["iteration"],
-            "duality_gap": record["duality_gap"],
-            "delta": record["delta"],
-            "throughput": record["throughput"],
-            "mean_interference": record["mean_interference"],
-        }
-        for k in range(n_users):
-            row[f"lambda_{k + 1}"] = record["lambdas"][k]
-            row[f"power_{k + 1}"] = record["user_power"][k]
-        rows.append(row)
     final = {
         "iteration": state.iteration + 1,
         "duality_gap": state.gap_trace[-1],
         "delta": state.kkt_delta,
+        "lambdas": state.kkt_lambdas,
         "throughput": rate,
-        "mean_interference": alloc.mean_interference(gains),
+        "mean_interference": alloc.mean_interference(problem.gains),
+        "user_power": alloc.user_totals(),
     }
-    for k in range(n_users):
-        final[f"lambda_{k + 1}"] = state.kkt_lambdas[k]
-        final[f"power_{k + 1}"] = alloc.user_totals()[k]
-    rows.append(final)
+    scalars = ("iteration", "duality_gap", "delta", "throughput", "mean_interference")
+    rows = []
+    for record in state.trace + [final]:
+        row = {key: record[key] for key in scalars}
+        for k in range(n_users):
+            row[f"lambda_{k + 1}"] = record["lambdas"][k]
+            row[f"power_{k + 1}"] = record["user_power"][k]
+        rows.append(row)
     return TraceResult(
         rows=rows,
         columns=columns,
@@ -313,30 +331,73 @@ def run_allocation_snapshot(
 ) -> SnapshotResult:
     """Per-subcarrier owner/power/gain table for one solved instance."""
     point = _regime_config(cfg, load_regime, receiver)
-    master = np.random.default_rng(seed)
-    gains = gen_channel_set(point.replace(cdma_users=0), "selective", master).ofdma_gains
-    problem = _build_problem(point, receiver, gains)
-    alloc, _, rate = solve_p1(problem, solver or SolverOptions())
-    n_users, n = problem.n_users, problem.n_subcarriers
-    columns = ["subcarrier", "owner", "power", "received_power"] + [
-        f"gain_{k + 1}" for k in range(n_users)
-    ]
-    rows = []
-    for sc in range(n):
-        owner = int(alloc.assignment[sc])
-        power = float(alloc.powers[owner, sc]) if owner >= 0 else 0.0
-        row = {
-            "subcarrier": sc,
-            "owner": owner,
-            "power": power,
-            "received_power": power * gains[owner, sc] if owner >= 0 else 0.0,
-        }
-        for k in range(n_users):
-            row[f"gain_{k + 1}"] = gains[k, sc]
-        rows.append(row)
-    return SnapshotResult(
+    snapshot, _ = run_allocation(point, receiver, "selective", seed, solver)
+    return snapshot
+
+
+def run_allocation(
+    cfg: SystemConfig,
+    receiver: str = "mf",
+    channel_model: str = "selective",
+    seed: int = DEFAULT_SEED,
+    solver: SolverOptions | None = None,
+) -> tuple[SnapshotResult, dict]:
+    """Solve one instance at cfg's own load: the snapshot table plus a summary row.
+
+    Solves even at an infeasible load, with zero margin.  The summary's
+    keys are its column order.
+    """
+    result, problem, alloc, state, rate = _solve_instance(
+        cfg, receiver, channel_model, seed, solver
+    )
+    rows, columns = allocation_rows(alloc, problem.gains)
+    summary = {
+        "receiver": receiver,
+        "alpha": cfg.alpha,
+        "margin": result.margin,
+        "feasible": result.feasible,
+        "throughput": rate,
+        "mean_interference": InterferenceProfile.from_allocation(alloc.powers, problem.gains).mean,
+        "duality_gap": state.gap_trace[-1],
+        "iterations": state.iteration,
+        "converged": state.converged,
+    }
+    for k, total in enumerate(alloc.user_totals()):
+        summary[f"power_{k + 1}"] = total
+    snapshot = SnapshotResult(
         rows=rows, columns=columns, allocation=alloc, problem=problem, throughput=rate
     )
+    return snapshot, summary
+
+
+MARGIN_COLUMNS = [
+    "receiver",
+    "alpha",
+    "receive_snr_db",
+    "target_sinr_db",
+    "supportable_load",
+    "margin",
+    "feasible",
+]
+
+
+def margin_rows(cfg: SystemConfig) -> list:
+    """Supportable load and margin at cfg's operating point, one row per receiver."""
+    rows = []
+    for receiver in RECEIVERS:
+        result = interference_margin(cfg.alpha, cfg.q, cfg.sigma2, cfg.beta_star, receiver)
+        rows.append(
+            {
+                "receiver": receiver,
+                "alpha": cfg.alpha,
+                "receive_snr_db": cfg.receive_snr_db,
+                "target_sinr_db": cfg.target_sinr_db,
+                "supportable_load": result.alpha_star,
+                "margin": result.margin,
+                "feasible": result.feasible,
+            }
+        )
+    return rows
 
 
 VALIDATION_COLUMNS = [

@@ -3,9 +3,12 @@ import pytest
 
 from refarm import (
     AllocationProblem,
+    ChannelSet,
     InvalidParameterError,
     SolverOptions,
     brute_force_oracle,
+    mmse_fixed_point_selective,
+    mmse_fixed_point_uniform,
     solve_p1,
     solve_p2_waterfill,
     solve_p3_channel_inverse,
@@ -13,8 +16,9 @@ from refarm import (
 from refarm.allocator import (
     DualState,
     PowerAllocation,
-    assign_subcarrier,
-    power_candidate,
+    _assign_all,
+    _candidate_matrix,
+    _scores,
     subgradient_step,
     throughput,
 )
@@ -30,55 +34,72 @@ def random_problem(rng, n_users=2, n=4, floor_range=(0.5, 30.0), cap_range=(1.0,
     return AllocationProblem(gains=gains, noise_floor=floor, margin=margin, power_caps=caps)
 
 
+def candidates(gains, delta, lambdas, noise_floor=1.0, caps=None):
+    """Candidate powers for a (K, N) gain matrix; caps default to no clip."""
+    gains = np.atleast_2d(np.asarray(gains, dtype=float))
+    lambdas = np.asarray(lambdas, dtype=float)
+    caps = np.full(gains.shape[0], np.inf) if caps is None else np.asarray(caps, dtype=float)
+    return _candidate_matrix(gains, noise_floor, delta, lambdas, caps)
+
+
+def owner_of(gains_column, lambdas, delta=0.0, noise_floor=1.0):
+    """Owner the dual loop gives one subcarrier, -1 for nobody."""
+    gains = np.asarray(gains_column, dtype=float)[:, None]
+    problem = AllocationProblem(
+        gains=gains, noise_floor=noise_floor, margin=1.0, power_caps=np.full(len(gains), 1e9)
+    )
+    _, owner, _ = _assign_all(problem, delta, np.asarray(lambdas, dtype=float))
+    return int(owner[0])
+
+
 # --- per-subcarrier pieces --------------------------------------------------
 
 def test_power_candidate_water_level_form():
     expected = 1.0 / (0.1 * LN2) - 1.0
-    assert power_candidate(0.0, 0.1, 1.0, 1.0) == pytest.approx(expected, abs=1e-4)
-    assert power_candidate(0.0, 0.1, 1.0, 1.0) == pytest.approx(13.4270, abs=1e-4)
+    assert candidates([1.0], 0.0, [0.1])[0, 0] == pytest.approx(expected, abs=1e-4)
+    assert candidates([1.0], 0.0, [0.1])[0, 0] == pytest.approx(13.4270, abs=1e-4)
 
 
 def test_power_candidate_clamps_to_zero():
     # Price high enough that the bracket goes negative.
-    assert power_candidate(0.0, 10.0, 1.0, 1.0) == 0.0
+    assert candidates([1.0], 0.0, [10.0])[0, 0] == 0.0
 
 
 def test_power_candidate_channel_inverse_structure():
-    gains = [0.3, 1.0, 2.5]
-    received = [g * power_candidate(0.1, 0.0, g, 1.0) for g in gains]
+    gains = np.array([0.3, 1.0, 2.5])
+    received = gains * candidates(gains, 0.1, [0.0])[0]
     assert max(received) - min(received) < 1e-12
 
 
-def test_power_candidate_rejects_zero_prices():
-    with pytest.raises(InvalidParameterError):
-        power_candidate(0.0, 0.0, 1.0, 1.0)
-    assert power_candidate(0.0, 0.0, 0.0, 1.0) == 0.0  # zero-gain subcarrier
+def test_power_candidate_zero_prices_clip_at_cap():
+    # With both prices zero the stationary power is unbounded; the clip at
+    # the user's cap keeps it finite.
+    np.testing.assert_array_equal(candidates([1.0, 2.0], 0.0, [0.0], caps=[7.0]), [[7.0, 7.0]])
+    assert candidates([0.0], 0.0, [0.0], caps=[7.0])[0, 0] == 0.0  # zero-gain subcarrier
 
 
 def test_assign_single_user():
-    cand = np.array([2.0])
-    assert assign_subcarrier(cand, np.array([1.0]), 1.0, 0.0, np.array([0.1])) == 0
+    assert owner_of([1.0], [0.1]) == 0
 
 
 def test_assign_prefers_higher_gain_at_equal_prices():
     lams = np.array([0.1, 0.1])
-    gains = np.array([1.5, 0.7])
-    cand = np.array([power_candidate(0.0, 0.1, g, 1.0) for g in gains])
-    assert assign_subcarrier(cand, gains, 1.0, 0.0, lams) == 0
+    gains = np.array([[1.5], [0.7]])
+    scores = _scores(gains, 1.0, candidates(gains, 0.0, lams), 0.0, lams)
+    assert scores[0, 0] > scores[1, 0] > 0.0
+    assert owner_of(gains[:, 0], lams) == 0
 
 
 def test_assign_breaks_exact_ties_low_index():
-    lams = np.array([0.1, 0.1])
-    gains = np.array([1.0, 1.0])
-    cand = np.array([power_candidate(0.0, 0.1, g, 1.0) for g in gains])
-    assert assign_subcarrier(cand, gains, 1.0, 0.0, lams) == 0
+    assert owner_of([1.0, 1.0], [0.1, 0.1]) == 0
 
 
 def test_assign_nobody_when_all_zero():
     lams = np.array([10.0, 10.0])
-    gains = np.array([0.5, 0.5])
-    cand = np.zeros(2)
-    assert assign_subcarrier(cand, gains, 1.0, 0.0, lams) == -1
+    gains = np.array([[0.5], [0.5]])
+    np.testing.assert_array_equal(candidates(gains, 0.0, lams), np.zeros((2, 1)))
+    np.testing.assert_array_equal(_scores(gains, 1.0, np.zeros((2, 1)), 0.0, lams), 0.0)
+    assert owner_of(gains[:, 0], lams) == -1
 
 
 def test_subgradient_signs():
@@ -233,6 +254,19 @@ def test_brute_force_symmetric_instance():
     assert value == pytest.approx(2 * np.log2(3.0), rel=1e-6)
 
 
+def test_no_users_gives_unowned_subcarriers():
+    problem = AllocationProblem(
+        gains=np.zeros((0, 4)), noise_floor=1.0, margin=1.0, power_caps=np.zeros(0)
+    )
+    alloc, value = brute_force_oracle(problem)
+    np.testing.assert_array_equal(alloc.assignment, [-1, -1, -1, -1])
+    assert value == 0.0
+    alloc, state, value = solve_p1(problem)
+    np.testing.assert_array_equal(alloc.assignment, [-1, -1, -1, -1])
+    assert value == 0.0 and state.trivial
+    assert state.kkt_delta == 0.0 and state.kkt_lambdas.shape == (0,)
+
+
 def test_brute_force_refuses_large_instances():
     with pytest.raises(InvalidParameterError):
         brute_force_oracle(
@@ -262,6 +296,30 @@ def test_solver_trivial_when_nothing_to_give():
     alloc, state, value = solve_p1(problem)
     assert state.trivial and value == 0.0
     np.testing.assert_array_equal(alloc.powers, np.zeros((2, 4)))
+    assert state.kkt_delta == 0.0
+    np.testing.assert_array_equal(state.kkt_lambdas, [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call, key",
+    [
+        (lambda: SolverOptions(max_iterations=0), "max_iterations"),
+        (lambda: SolverOptions(gap_tolerance=0.0), "gap_tolerance"),
+        (lambda: SolverOptions(check_interval=0), "check_interval"),
+        (lambda: mmse_fixed_point_uniform(0.2, 100.0, None, 1.0, max_iter=0), "max_iter"),
+        (
+            lambda: mmse_fixed_point_selective(
+                ChannelSet(np.ones((2, 4), complex), np.zeros((0, 4)), "awgn"),
+                100.0, None, 1.0, max_iter=0,
+            ),
+            "max_iter",
+        ),
+    ],
+    ids=["max_iterations", "gap_tolerance", "check_interval", "uniform_max_iter", "selective_max_iter"],
+)
+def test_iteration_limits_rejected_by_name(call, key):
+    with pytest.raises(InvalidParameterError, match=key):
+        call()
 
 
 def test_solver_zero_margin_with_caps_is_zero():

@@ -4,6 +4,7 @@ import pytest
 from refarm import (
     ChannelSet,
     InterferenceProfile,
+    InvalidParameterError,
     SystemConfig,
     db_to_linear,
     gen_channel_set,
@@ -13,7 +14,6 @@ from refarm import (
     mf_asymptotic_uniform,
     mmse_fixed_point_selective,
     mmse_fixed_point_uniform,
-    ofdma_asymptotic_sinr,
     proposition1_check,
     supportable_load,
 )
@@ -261,10 +261,18 @@ def test_jensen_gap_nonnegative_over_random_profiles():
         assert lhs >= rhs * (1 - 1e-12)
 
 
-# --- OFDMA side ---------------------------------------------------------------
-
-def test_ofdma_sinr_values():
-    assert ofdma_asymptotic_sinr(0.0, 1.0, 0.2, Q, SIGMA2) == 0.0
-    floor = 0.2 * Q + SIGMA2
-    assert ofdma_asymptotic_sinr(floor, 1.0, 0.2, Q, SIGMA2) == pytest.approx(1.0, rel=1e-12)
-    assert ofdma_asymptotic_sinr(21.0, 1.0, 0.2, Q, SIGMA2) == pytest.approx(1.0, rel=1e-12)
+@pytest.mark.parametrize(
+    "profile", [-5.0, np.array([1.0, -0.5, 2.0])], ids=["scalar", "vector"]
+)
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda p: mmse_fixed_point_uniform(0.2, Q, p, SIGMA2),
+        lambda p: proposition1_check(1.5, 0.2, Q, SIGMA2, p),
+        lambda p: jensen_reinforcement_gap(BETA, 0.2, Q, SIGMA2, p),
+    ],
+    ids=["fixed_point", "proposition1", "jensen"],
+)
+def test_negative_profile_rejected(check, profile):
+    with pytest.raises(InvalidParameterError, match="interference powers"):
+        check(profile)

@@ -191,3 +191,42 @@ def test_validate_command(tmp_path):
     assert code == EXIT_OK
     lines = (out / "validation.csv").read_text().splitlines()
     assert len(lines) == 5  # header + 2 receivers x 2 models
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["allocate"], ["sweep-load"], ["trace", "--regime", "heavy"], ["snapshot", "--regime", "light"]],
+    ids=["allocate", "sweep-load", "trace", "snapshot"],
+)
+def test_no_ofdma_users(tmp_path, command):
+    out = tmp_path / "run"
+    args = [
+        "--out", str(out), "--quiet", *TINY,
+        "--set", "ofdma_users=0",
+        "--set", "sweep.grid=0.1,0.3",
+        "--trials", "3",
+        *command,
+    ]
+    assert main(args) == EXIT_OK
+    paths = list(out.glob("*.csv"))
+    assert paths
+    for path in paths:
+        cells = [cell for line in path.read_text().splitlines() for cell in line.split(",")]
+        assert "None" not in cells
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("[system]\ncp_length = 31\n", "cp_length"),
+        ("[system]\nbandwidth_hz = 5e6\n", "bandwidth_hz"),
+        ("[solver]\nmax_iterations = 0\n", "max_iterations"),
+        ("[solver]\ngap_tolerance = 0\n", "gap_tolerance"),
+    ],
+    ids=["cp_length", "bandwidth_hz", "max_iterations", "gap_tolerance"],
+)
+def test_rejected_config_exits_2_naming_the_key(tmp_path, capsys, text, name):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "run"), "margin"]) == EXIT_CONFIG
+    assert name in capsys.readouterr().err

@@ -91,6 +91,14 @@ def test_trace_heavy_regime_pins_interference():
     assert np.all(np.array([final[f"lambda_{k + 1}"] for k in range(len(caps))]) == 0.0)
 
 
+def test_trace_with_zero_caps_ends_on_zero_prices():
+    cfg = SMALL.replace(power_caps=(0.0, 0.0))
+    result = run_convergence_trace(cfg, "heavy", "mf", seed=3, solver=FAST_SOLVER)
+    final = result.rows[-1]
+    assert final["delta"] == 0.0 and final["throughput"] == 0.0
+    assert final["lambda_1"] == 0.0 and final["lambda_2"] == 0.0
+
+
 def test_trace_iteration_column_and_gap_trace():
     result = run_convergence_trace(SMALL, "heavy", "mf", seed=5, solver=FAST_SOLVER)
     iterations = [row["iteration"] for row in result.rows]
