@@ -497,7 +497,7 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
 
     # Tiny instances: enumerate every assignment through the exact
     # restricted solve; the dual bound is genuinely loose at small N.
-    if n_users >= 1 and n_users**n <= EXHAUSTIVE_LIMIT:
+    if n_users**n <= EXHAUSTIVE_LIMIT:
         for combo in itertools.product(range(n_users), repeat=n):
             owner = np.asarray(combo)
             powers, kkt_delta, kkt_lams = _solve_fixed_assignment(problem, owner)

@@ -12,6 +12,18 @@ MMSE SINR is the receiver-output SINR, i.e. the quadratic form against the
 covariance of everything except user u's own signal; the form that keeps
 the self term differs from it by the deterministic map g -> g/(1+g) and is
 what the matrix inverse naturally produces.
+
+The interference-plus-noise covariance D = diag(profile + sigma^2) is
+diagonal, so with S the (N, U) matrix of signature columns and
+G = S^H D^-1 S the Woodbury identity gives
+
+    q S^H (q S S^H + D)^-1 S = I - (I + q G)^-1,
+
+hence SINR_u = 1/[(I + q G)^-1]_uu - 1.  When U < N the MMSE kernel solves
+this U x U system A X = I, A = I + q G; otherwise it solves the N x N
+covariance R = q S S^H + D directly.  Both check the relative residual of
+the N-space solve R Y = S: the U-space solution is Y = D^-1 S X, whose
+residual R Y - S = S (A X - I) needs no N x N matrix.
 """
 
 from __future__ import annotations
@@ -186,25 +198,58 @@ def _received_covariance(signatures, q, prof, sigma2):
     return cov
 
 
+def _cholesky(matrix):
+    try:
+        return cho_factor(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("MMSE system not numerically positive definite") from exc
+
+
+def _chip_space_solve(signatures, q, prof, sigma2):
+    """Self-term SINRs q e_u^H R^-1 e_u and residual of the N x N solve R Y = S."""
+    cov = _received_covariance(signatures, q, prof, sigma2)
+    rhs = signatures.T  # columns are e_u
+    solved = cho_solve(_cholesky(cov), rhs)
+    residual = np.linalg.norm(cov @ solved - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
+    with_self = q * np.real(np.einsum("un,nu->u", signatures.conj(), solved))
+    return with_self, residual
+
+
+def _user_space_solve(signatures, q, prof, sigma2):
+    """Self-term SINRs 1 - X_uu with X = A^-1, A = I + q G, and the residual
+    S (A X - I) that the equivalent N-space solution Y = D^-1 S X leaves."""
+    n_users = signatures.shape[0]
+    rhs = signatures.T
+    system = q * (signatures.conj() @ (rhs / (prof + sigma2)[:, None]))
+    system[np.diag_indices(n_users)] += 1.0
+    inverse = cho_solve(_cholesky(system), np.eye(n_users))
+    defect = system @ inverse
+    defect[np.diag_indices(n_users)] -= 1.0
+    residual = np.linalg.norm(rhs @ defect, axis=0) / np.linalg.norm(rhs, axis=0)
+    return 1.0 - np.real(np.diagonal(inverse)), residual
+
+
 def mmse_sinr_exact(signatures, q, profile, sigma2) -> SinrReport:
     """Exact linear-MMSE output SINR for every user at finite dimension.
 
-    Solves Hermitian positive-definite systems with one Cholesky
-    factorization shared by all users; no explicit inversion.
+    SINR_u = 1/[(I + q G)^-1]_uu - 1 with G = S^H D^-1 S (module
+    docstring).  When U < N one Cholesky factorization of the U x U
+    matrix I + q G gives every user; otherwise one factorization of the
+    N x N received covariance R does.  Either way the solve is checked
+    by the relative residual of the N-space system R Y = S, column by
+    column against ``SOLVE_RESIDUAL_TOL``; the U-space path evaluates
+    it as S (A X - I) without forming R.  A failed factorization or a
+    large residual raises NumericalError.
     """
     if sigma2 <= 0:
         raise InvalidParameterError("mmse requires sigma2 > 0")
     signatures = _check_signatures(signatures)
-    n = signatures.shape[1]
+    n_users, n = signatures.shape
     prof = profile_array(profile, n)
-    cov = _received_covariance(signatures, q, prof, sigma2)
-    factor = cho_factor(cov)
-    rhs = signatures.T  # columns are e_u
-    solved = cho_solve(factor, rhs)
-    residual = np.linalg.norm(cov @ solved - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
+    solve = _user_space_solve if n_users < n else _chip_space_solve
+    with_self, residual = solve(signatures, q, prof, sigma2)
     if np.any(residual > SOLVE_RESIDUAL_TOL):
         raise NumericalError(f"linear solve residual {residual.max():.2e} above tolerance")
-    with_self = q * np.real(np.einsum("un,nu->u", signatures.conj(), solved))
     if np.any(with_self >= 1.0):
         raise NumericalError("self-term SINR reached 1; covariance numerically singular")
     per_user = with_self / (1.0 - with_self)
@@ -277,11 +322,7 @@ def simulate_uplink_frame(
         filters = signatures
     else:
         cov = _received_covariance(signatures, cfg.q, prof, sigma2)
-        try:
-            factor = cho_factor(cov)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by sigma2
-            raise NumericalError("received covariance not positive definite") from exc
-        filters = (cfg.q * cho_solve(factor, signatures.T)).T
+        filters = (cfg.q * cho_solve(_cholesky(cov), signatures.T)).T
 
     outputs = filters.conj() @ received
     gain = np.einsum("un,un->u", filters.conj(), signatures)

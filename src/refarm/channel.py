@@ -78,10 +78,12 @@ def _user_responses(n_users, n_subcarriers, n_taps, model, rng):
     # A flat channel is the single-tap special case: the response is the
     # per-user scalar tap replicated across the band.
     taps_per_user = 1 if model == "flat" else n_taps
-    out = np.empty((n_users, n_subcarriers), dtype=complex)
-    for u, child in enumerate(rng.spawn(n_users)):
-        out[u] = freq_response(gen_multipath_taps(taps_per_user, child), n_subcarriers)
-    return out
+    if taps_per_user > n_subcarriers:
+        raise InvalidParameterError("more taps than subcarriers")
+    # Each user draws its taps from its own substream; one stacked
+    # transform gives every row exactly as freq_response would.
+    taps = np.stack([gen_multipath_taps(taps_per_user, child) for child in rng.spawn(n_users)])
+    return np.fft.fft(taps, n=n_subcarriers, axis=1)
 
 
 def gen_channel_set(cfg: SystemConfig, model: str, rng: np.random.Generator) -> ChannelSet:

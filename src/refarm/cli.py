@@ -76,10 +76,16 @@ def _build_parser():
     return parser
 
 
-def _sweep_spec(settings, parameter, args, grid=None):
+def _sweep_spec(settings, parameter, args):
+    # The configured grid belongs to the configured sweep parameter; the
+    # other command sweeps its parameter's default grid.
+    if settings.sweep_parameter == parameter:
+        grid = settings.grid
+    else:
+        grid = cli_io.DEFAULT_GRIDS[parameter]
     return SweepSpec(
         parameter=parameter,
-        grid=np.asarray(grid if grid is not None else settings.grid),
+        grid=np.asarray(grid),
         receiver=settings.receiver,
         base=settings.system,
         trials=args.trials or settings.trials,
@@ -115,8 +121,7 @@ def _cmd_sweep_load(settings, args, out):
 
 
 def _cmd_sweep_snr(settings, args, out):
-    grid = settings.grid if settings.sweep_parameter == "receive_snr_db" else cli_io.DEFAULT_GRIDS["receive_snr_db"]
-    spec = _sweep_spec(settings, "receive_snr_db", args, grid=grid)
+    spec = _sweep_spec(settings, "receive_snr_db", args)
     result = run_snr_sweep(spec)
     path = out / "sweep_snr.csv"
     cli_io.emit_csv(result.rows, result.columns, path)

@@ -133,8 +133,6 @@ def parse_config(path=None, overrides=()) -> RunSettings:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 parser.read_file(handle)
-        except OSError:
-            raise
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
         for section in parser.sections():

@@ -5,6 +5,7 @@ from refarm import (
     ChannelSet,
     InterferenceProfile,
     InvalidParameterError,
+    NumericalError,
     SystemConfig,
     effective_signatures,
     gen_channel_set,
@@ -13,7 +14,8 @@ from refarm import (
     mmse_sinr_exact,
     simulate_uplink_frame,
 )
-from refarm.cdma import mf_filter_output_sinr
+from refarm import cdma
+from refarm.cdma import _received_covariance, mf_filter_output_sinr
 
 Q = 100.0
 SIGMA2 = 1.0
@@ -219,6 +221,60 @@ def test_more_interference_never_helps():
         before = solver(sigs, Q, profile, SIGMA2).per_user
         after = solver(sigs, Q, InterferenceProfile(bumped), SIGMA2).per_user
         assert np.all(after <= before * (1 + 1e-12))
+
+
+def _chip_space_reference(sigs, q, prof, sigma2):
+    # The MMSE SINR straight from the N x N received covariance.
+    solved = np.linalg.solve(_received_covariance(sigs, q, prof, sigma2), sigs.T)
+    with_self = q * np.real(np.einsum("un,nu->u", sigs.conj(), solved))
+    return with_self / (1.0 - with_self)
+
+
+@pytest.mark.parametrize("n_users", [1, 13, 31, 32, 40])
+def test_mmse_matches_chip_space_reference(n_users, monkeypatch):
+    # U < N takes the U x U Woodbury form, U >= N the N x N covariance.
+    n = 32
+    sigs, profile = _random_instance(n_users, n=n, n_users=n_users, taps=4)
+    prof = profile.per_subcarrier
+    assert np.ptp(prof) > 1.0
+    other = "_chip_space_solve" if n_users < n else "_user_space_solve"
+
+    def wrong_path(*args):
+        raise AssertionError(f"{other} used at U={n_users}, N={n}")
+
+    monkeypatch.setattr(cdma, other, wrong_path)
+    report = mmse_sinr_exact(sigs, Q, profile, SIGMA2)
+    np.testing.assert_allclose(
+        report.per_user, _chip_space_reference(sigs, Q, prof, SIGMA2), rtol=1e-10
+    )
+
+
+def _identical_rows(n_users, n=8):
+    codes = gen_spreading_codes(1, n, np.random.default_rng(0))
+    return np.repeat(effective_signatures(codes, awgn_channels(1, n)), n_users, axis=0)
+
+
+@pytest.mark.parametrize("n_users", [3, 8], ids=["user-space", "chip-space"])
+def test_mmse_failed_factorization_is_numerical_error(n_users):
+    # q/sigma2 = 200 dB on identical signatures: Cholesky breaks down.
+    with pytest.raises(NumericalError, match="positive definite"):
+        mmse_sinr_exact(_identical_rows(n_users), Q, None, 1e-18)
+
+
+def test_mmse_identical_rows_at_140_db_refused():
+    # The exact value is 0.5 per user, but the U x U system has condition
+    # number 3e14 and its residual check refuses the solve.
+    with pytest.raises(NumericalError, match="residual"):
+        mmse_sinr_exact(_identical_rows(3), Q, None, 1e-12)
+
+
+def test_mmse_near_duplicate_signatures_fail_residual_check():
+    # Cholesky of the 2 x 2 system succeeds; only the residual catches it.
+    sigs = gen_spreading_codes(2, 8, np.random.default_rng(1)).astype(complex)
+    sigs[1] = sigs[0]
+    sigs[1, 0] += 1e-9
+    with pytest.raises(NumericalError, match="residual"):
+        mmse_sinr_exact(sigs, Q, None, 1e-16)
 
 
 def test_sinr_concentrates_across_code_draws():

@@ -70,6 +70,25 @@ def test_channel_set_deterministic_for_fixed_seed():
     np.testing.assert_array_equal(first.ofdma, second.ofdma)
 
 
+@pytest.mark.parametrize("model", ["selective", "flat"])
+def test_channel_stream_layout(model):
+    # CDMA users draw from the first of two substreams, one child each, in
+    # user order; the batched transform equals the per-user response.
+    cfg = SystemConfig(n_subcarriers=32, cdma_users=6, ofdma_users=2, multipath_taps=4)
+    taps = 1 if model == "flat" else cfg.multipath_taps
+    channels = gen_channel_set(cfg, model, np.random.default_rng(9))
+    children = np.random.default_rng(9).spawn(2)[0].spawn(cfg.cdma_users)
+    for row, child in zip(channels.cdma, children, strict=True):
+        np.testing.assert_array_equal(row, freq_response(gen_multipath_taps(taps, child), 32))
+
+
+def test_channel_set_rejects_more_taps_than_subcarriers():
+    cfg = SystemConfig(n_subcarriers=8, cdma_users=2, ofdma_users=1, multipath_taps=8)
+    cfg.multipath_taps = 9  # past SystemConfig's own check
+    with pytest.raises(InvalidParameterError, match="more taps than subcarriers"):
+        gen_channel_set(cfg, "selective", np.random.default_rng(0))
+
+
 def test_unknown_model_rejected():
     cfg = SystemConfig(n_subcarriers=8, cdma_users=1, multipath_taps=1)
     with pytest.raises(InvalidParameterError):

@@ -2,7 +2,7 @@ import pytest
 
 from refarm import ConfigError, db_to_linear
 from refarm.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from refarm.cli_io import emit_csv, format_value, parse_config
+from refarm.cli_io import DEFAULT_GRIDS, emit_csv, format_value, parse_config
 
 
 def test_empty_file_yields_default_operating_point(tmp_path):
@@ -171,6 +171,22 @@ def test_sweep_load_command_deterministic(tmp_path):
     assert (outs[0] / "sweep_load.csv").read_bytes() == (outs[1] / "sweep_load.csv").read_bytes()
     header = (outs[0] / "sweep_load.csv").read_text().splitlines()[0]
     assert header.split(",")[0] == "alpha"
+
+
+@pytest.mark.parametrize(
+    "command, csv, parameter, other",
+    [("sweep-load", "sweep_load.csv", "alpha", "receive_snr_db"),
+     ("sweep-snr", "sweep_snr.csv", "receive_snr_db", "alpha")],
+    ids=["sweep-load", "sweep-snr"],
+)
+def test_sweep_of_the_other_parameter_uses_its_default_grid(tmp_path, command, csv, parameter, other):
+    out = tmp_path / "run"
+    args = ["--set", f"sweep.parameter={other}", "--trials", "1", command]
+    assert main(["--out", str(out), "--quiet", *TINY, *args]) == EXIT_OK
+    lines = (out / csv).read_text().splitlines()
+    assert lines[0].split(",")[0] == parameter
+    grid = [float(line.split(",")[0]) for line in lines[1:]]
+    assert grid == pytest.approx(DEFAULT_GRIDS[parameter], rel=1e-11)
 
 
 def test_trace_and_snapshot_commands(tmp_path):
