@@ -8,47 +8,69 @@ total power caps, and (iii) the average received interference power
 Strategy: Lagrangian dual decomposition.  At fixed dual prices (delta for
 interference, lambda_k per power cap) the inner maximization separates
 into N independent per-subcarrier problems whose closed-form candidate
-powers and winner scores are computed below.  Dual prices follow a
-projected subgradient descent with diminishing, norm-scaled steps.  A
-feasible primal is recovered by fixing the subcarrier assignment obtained
-at the (trailing-window) averaged prices and solving the remaining convex
-problem exactly: capped water-filling per user, with a bisection on the
-interference price when the margin binds.  The multipliers of that inner
-solve are themselves dual-feasible, which tightens the reported duality
-gap.  Tiny instances fall back to exhaustive assignment enumeration, each
-enumerated assignment solved through the same exact restricted path.
+powers and winner scores are computed below.  The dual has only K + 1
+variables, so it is minimized by the central-cut ellipsoid method, as in
+Yu & Lui, "Dual methods for nonconvex spectrum optimization of
+multicarrier systems", IEEE Trans. Commun. 2006.  The starting ellipsoid
+holds a box that holds a dual minimizer, so every evaluated center gives
+a certified lower bound on the dual minimum, and the loop stops once the
+dual minimum is known to a relative DUAL_TOLERANCE.
 
-The candidate powers used inside the dual loop are additionally clipped
-at the user's own cap.  The clip is implied by the cap constraint, so it
+A feasible primal is recovered by fixing the subcarrier assignment won at
+the best center and solving the convex problem that is left exactly: a
+Newton iteration on each user's cap price inside a safeguarded Newton
+iteration on the interference price.  The prices of that solve are
+themselves a dual point, which can lower the dual bound.  The reported
+duality gap and ``converged`` flag are measured against the allocation
+that is returned.
+
+Tiny instances (K**N <= EXHAUSTIVE_LIMIT) skip the dual loop: every
+assignment goes through the exact restricted solve, so the best one is
+the optimum and its duality gap is 0.  Their dual bound can be genuinely
+loose, by about K + 1 subcarriers' worth of rate.
+
+The candidate powers used inside the dual are additionally clipped at
+the user's own cap.  The clip is implied by the cap constraint, so it
 changes neither the feasible set nor the optimum, but it keeps the dual
-function finite at the all-zero price point and makes the iteration
-self-correcting there.
+function finite at the all-zero price point.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InvalidParameterError
 
 LN2 = np.log(2.0)
 
-#: Default subgradient schedule scale; the per-iteration step is
-#: step_scale / (sqrt(t) * (1 + ||subgradient||)).
-DEFAULT_STEP_SCALE = 0.1
+#: The ellipsoid loop stops once the certified dual interval
+#: [lower, upper] is at most this wide relative to upper.  It sits well
+#: below any gap tolerance a caller sets, and the loop's cost grows only
+#: with its logarithm.
+DUAL_TOLERANCE = 1e-7
 
-#: Share of the dual iterates, counted back from the latest, whose average
-#: prices the assignment handed to each primal recovery.
-AVERAGING_FRACTION = 0.1
-
-#: Instances with at most this many assignments (K**N) are also solved by
+#: Instances with at most this many assignments (K**N) are solved by
 #: enumerating every assignment through the exact restricted solve.
 EXHAUSTIVE_LIMIT = 4096
+
+#: Relative accuracy of the restricted solve's Newton iterations on the
+#: spend of each cap and on the received power.  Newton converges
+#: quadratically, so float rounding is reached a step or two later than
+#: with any looser setting.
+_NEWTON_RTOL = 1e-12
+
+#: Step limit of those Newton iterations.  They need about log2(N) steps
+#: to come near a root from their starting point, then a few more.
+_NEWTON_MAX_STEPS = 100
+
+#: Entries of the (B, K, N) arrays that one batched restricted solve
+#: holds.  Every 2 x 12 assignment fits in one batch; an instance with
+#: many users and few subcarriers is solved in several.
+_BATCH_ENTRIES = 1 << 17
 
 
 @dataclass
@@ -128,12 +150,11 @@ class PowerAllocation:
 
 @dataclass
 class DualState:
-    """Dual prices and convergence bookkeeping for the subgradient solver."""
+    """Dual prices and convergence bookkeeping for the ellipsoid solver."""
 
     delta: float
     lambdas: np.ndarray
     iteration: int = 0
-    step_scale: float = DEFAULT_STEP_SCALE
     gap_trace: list = field(default_factory=list)
     converged: bool = False
     trivial: bool = False
@@ -151,9 +172,6 @@ class DualState:
 class SolverOptions:
     max_iterations: int = 5000
     gap_tolerance: float = 1e-3
-    step_scale: float | None = None  # default 0.1 * max(1, 1/margin)
-    delta_init: float = 0.01
-    lambda_init: float = 0.1
     check_interval: int = 250
     record_trace: bool = False
 
@@ -233,40 +251,32 @@ def _assign_all(problem, delta, lambdas):
 
 
 def _dual_value(problem, delta, lambdas):
-    """Value of the Lagrangian dual at the given prices (upper bound).
+    """Lagrangian dual at the given prices (an upper bound) and its maximizer.
 
-    The per-subcarrier price on received power is delta*g, i.e. the
-    multiplier on the averaged interference constraint is N*delta, hence
-    the N*delta*margin constant term.
+    Returns ``(value, powers, owner)``, where powers and owner are the
+    exclusive allocation of :func:`_assign_all`.  The per-subcarrier price
+    on received power is delta*g, i.e. the multiplier on the averaged
+    interference constraint is N*delta, hence the N*delta*margin constant
+    term.
     """
-    _, _, best = _assign_all(problem, delta, lambdas)
-    return (
+    powers, owner, best = _assign_all(problem, delta, lambdas)
+    value = (
         float(best.sum())
         + float(lambdas @ problem.power_caps)
         + problem.n_subcarriers * delta * problem.margin
     )
+    return value, powers, owner
 
 
 def _subgradient(problem, powers):
-    sbar = float(np.sum(powers * problem.gains)) / problem.n_subcarriers
-    return np.concatenate(([problem.margin - sbar], problem.power_caps - powers.sum(axis=1)))
+    """Subgradient of the dual in (delta, lambda) at prices maximized by powers.
 
-
-def subgradient_step(state: DualState, powers, problem: AllocationProblem) -> DualState:
-    """One projected subgradient update of the dual prices.
-
-    Moves opposite the constraint-slack vector with a diminishing,
-    norm-scaled step and projects back onto the nonnegative orthant; a
-    violated constraint therefore raises its price.
+    Its entries are the constraint slacks, N*margin - sum p*g and
+    cap_k - sum_n p_kn: a violated constraint gives a negative entry.
     """
-    d = _subgradient(problem, powers)
-    t = state.iteration + 1
-    step = state.step_scale / (np.sqrt(t) * (1.0 + np.linalg.norm(d)))
-    return replace(
-        state,
-        delta=max(0.0, state.delta - step * d[0]),
-        lambdas=np.maximum(0.0, state.lambdas - step * d[1:]),
-        iteration=t,
+    received = float(np.sum(powers * problem.gains))
+    return np.concatenate(
+        ([problem.n_subcarriers * problem.margin - received], problem.power_caps - powers.sum(axis=1))
     )
 
 
@@ -296,102 +306,112 @@ def _waterfill_closed_form(gains, cap, noise_floor):
     return powers, float(level), True
 
 
-def _waterfill_priced(gains, cap, noise_floor, delta, tol=1e-13):
-    """Per-user optimum at interference price delta; returns (p, lambda_k).
+def _priced_powers(owned, noise_floor, caps, delta, start):
+    """Every user's restricted optimum at interference prices delta.
 
-    Maximizes sum log2(1 + p g/floor) - delta * sum p g subject to
-    sum p <= cap, p >= 0.  lambda_k is the cap multiplier (0 if slack).
+    ``owned`` is a (B, K, N) stack of gain matrices, each zeroed off its
+    assignment and on users with a zero cap; ``delta`` and ``start`` hold
+    one price and one (K,) vector of cap prices per instance.  Returns
+    ``(powers, lambdas, slope)``: the powers
+    p = [1/((lambda_k + delta*g) ln 2) - floor/g]^+, the cap prices, and
+    the derivative in delta of each instance's received power sum p*g.
+
+    A user's spend is convex and decreasing in lambda_k, so Newton's
+    method started below the root rises onto it without overshooting.  It
+    starts from ``start``, which must lie below the root, or from the price
+    at which the user's best subcarrier alone spends the cap, whichever is
+    higher; the other subcarriers add a nonnegative spend, so the root is
+    not below the latter.  A user whose spend at lambda_k = 0 stays within
+    the cap keeps lambda_k = 0.  Any rounding left above a cap is scaled
+    away.
     """
-    gains = np.asarray(gains, dtype=float)
-    powers = np.zeros_like(gains)
-    positive = gains > 0
-    if cap <= 0 or not np.any(positive):
-        return powers, 0.0
-    if delta <= 0:
-        filled, level, ok = _waterfill_closed_form(gains, cap, noise_floor)
-        lam = 1.0 / (level * LN2) if ok and np.isfinite(level) else 0.0
-        return filled, lam
-    gv = gains[positive]
-
-    def spend(lam):
-        return np.maximum(1.0 / ((lam + delta * gv) * LN2) - noise_floor / gv, 0.0)
-
-    if spend(0.0).sum() <= cap:
-        powers[positive] = spend(0.0)
-        return powers, 0.0
-    low, high = 0.0, float(np.max(gv / (noise_floor * LN2)))
-    for _ in range(100):
-        mid = 0.5 * (low + high)
-        if spend(mid).sum() > cap:
-            low = mid
-        else:
-            high = mid
-        if high - low <= tol * max(1.0, high):
-            break
-    powers[positive] = spend(high)
-    return powers, high
+    # floor/g is infinite off the assignment, so no power is active there.
+    with np.errstate(divide="ignore"):
+        base = noise_floor / owned
+    priced = delta[:, None, None] * owned
+    single = 1.0 / ((caps[:, None] + base) * LN2) - priced
+    lambdas = np.maximum(single.max(axis=2, initial=0.0), start)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_STEPS):
+            inverse = 1.0 / (lambdas[:, :, None] + priced)
+            powers = inverse / LN2 - base
+            active = powers > 0
+            powers = np.where(active, powers, 0.0)
+            weight = np.where(active, inverse * inverse, 0.0)
+            excess = powers.sum(axis=2) - caps
+            over = excess > _NEWTON_RTOL * caps
+            if not over.any():
+                break
+            lambdas = np.where(over, lambdas + excess * LN2 / weight.sum(axis=2), lambdas)
+    spend = powers.sum(axis=2)
+    powers *= np.where(spend > caps, caps / np.where(spend > 0, spend, 1.0), 1.0)[:, :, None]
+    # A capped user's price moves with delta so that its spend stays at the
+    # cap: d(lambda_k)/d(delta) = -sum g/price^2 / sum 1/price^2.
+    a, b, c = (np.sum(weight * owned**j, axis=2) for j in range(3))
+    dlambda = np.where(lambdas > 0, -b / np.where(a > 0, a, 1.0), 0.0)
+    return powers, lambdas, -np.sum(dlambda * b + c, axis=1) / LN2
 
 
-def _solve_fixed_assignment(problem, owner):
+def _solve_fixed_assignments(problem, owners):
     """Exact optimum of the convex problem left once the assignment is fixed.
 
-    Returns (powers, delta, lambdas).  Water-fills each user to its cap
-    first; if the margin is then violated, bisects the common interference
-    price until the average received power meets the margin exactly.  The
-    received-power curve is continuous and nonincreasing in the price, so
-    the bisection converges to the KKT point.
+    ``owners`` is a (B, N) stack of assignments, solved together.  Returns
+    ``(powers, delta, lambdas)`` with shapes (B, K, N), (B,) and (B, K).
+    Water-fills each user to its cap at delta = 0; where the margin is
+    then violated, finds the interference price at which the average
+    received power meets the margin.  That power is continuous and
+    nonincreasing in delta and is zero at 1/(floor ln 2), so a Newton step
+    that leaves the bracket falls back to bisection.  The cap prices at
+    the bracket's upper end lie below those at any price inside it, so
+    they start the next cap-price solve.  Powers a rounding above the
+    margin are scaled onto it.
     """
     gains, floor, margin = problem.gains, problem.noise_floor, problem.margin
     n_users, n = gains.shape
-    indices = [np.nonzero(owner == k)[0] for k in range(n_users)]
-
-    def alloc_at(delta):
-        powers = np.zeros((n_users, n))
-        lams = np.zeros(n_users)
-        for k in range(n_users):
-            if indices[k].size:
-                powers[k, indices[k]], lams[k] = _waterfill_priced(
-                    gains[k, indices[k]], problem.power_caps[k], floor, delta
-                )
-        return powers, lams
-
-    def mean_interference(powers):
-        return float(np.sum(powers * gains)) / n
-
+    count = owners.shape[0]
     if margin <= 0:
-        return np.zeros((n_users, n)), 0.0, np.zeros(n_users)
-    powers, lams = alloc_at(0.0)
-    if mean_interference(powers) <= margin * (1.0 + 1e-12):
-        return powers, 0.0, lams
-    low, high = 0.0, 1.0000001 / (floor * LN2)
-    for _ in range(100):
-        mid = 0.5 * (low + high)
-        mid_powers, _ = alloc_at(mid)
-        if mean_interference(mid_powers) > margin:
-            low = mid
-        else:
-            high = mid
-        if high - low <= 1e-15 * high:
+        return np.zeros((count, n_users, n)), np.zeros(count), np.zeros((count, n_users))
+    mine = owners[:, None, :] == np.arange(n_users)[None, :, None]
+    owned = np.where(mine & (problem.power_caps > 0)[None, :, None], gains[None], 0.0)
+    budget = n * margin
+
+    delta = np.zeros(count)
+    low, high = np.zeros(count), np.full(count, 1.0 / (floor * LN2))
+    # The channel-inverse price: there no active subcarrier receives more
+    # than the margin, and it is the root when no cap binds.  It stands in
+    # for a Newton step from the upper end until one is evaluated.
+    low_step = np.full(count, np.nan)
+    high_step = np.full(count, 1.0 / ((margin + floor) * LN2))
+    high_lambdas = np.zeros((count, n_users))
+    powers, lambdas, slope = _priced_powers(owned, floor, problem.power_caps, delta, high_lambdas)
+    received = np.sum(powers * owned, axis=(1, 2))
+    todo = np.ones(count, dtype=bool)
+    for _ in range(_NEWTON_MAX_STEPS):
+        miss = received - budget
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(slope < 0, delta - miss / slope, np.nan)
+        todo &= (np.abs(miss) > _NEWTON_RTOL * budget) & ((miss > 0) | (delta > 0))
+        at_low, at_high = todo & (miss > 0), todo & (miss <= 0)
+        low, low_step = np.where(at_low, delta, low), np.where(at_low, newton, low_step)
+        high, high_step = np.where(at_high, delta, high), np.where(at_high, newton, high_step)
+        high_lambdas[at_high] = lambdas[at_high]
+        todo &= high - low > 1e-15 * high
+        if not todo.any():
             break
-    powers, lams = alloc_at(high)
-    excess = mean_interference(powers)
-    if excess > margin > 0:
-        powers *= margin / excess
-    return powers, high, lams
-
-
-def _cheap_feasible(problem, powers):
-    """Feasibility projection by scaling: per-user to the caps, then global."""
-    totals = powers.sum(axis=1)
-    over = totals > problem.power_caps
-    scale = np.where(over, problem.power_caps / np.maximum(totals, 1e-300), 1.0)
-    projected = powers * scale[:, None]
-    sbar = float(np.sum(projected * problem.gains)) / problem.n_subcarriers
-    if sbar > problem.margin:
-        projected = (
-            projected * (problem.margin / sbar) if problem.margin > 0 else np.zeros_like(projected)
+        # The Newton step from the new point, else the one from the other
+        # end of the bracket (where the power curve bends the other way, one
+        # of them stays inside), else bisection.
+        other = np.where(at_low, high_step, low_step)
+        step = np.where((low < other) & (other < high), other, 0.5 * (low + high))
+        step = np.where((low < newton) & (newton < high), newton, step)
+        idx = np.nonzero(todo)[0]
+        delta[idx] = step[idx]
+        powers[idx], lambdas[idx], slope[idx] = _priced_powers(
+            owned[idx], floor, problem.power_caps, delta[idx], high_lambdas[idx]
         )
-    return projected
+        received[idx] = np.sum(powers[idx] * owned[idx], axis=(1, 2))
+    powers *= np.where(received > budget, budget / np.maximum(received, budget), 1.0)[:, None, None]
+    return powers, delta, lambdas
 
 
 # ---------------------------------------------------------------------------
@@ -403,25 +423,25 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
 
     Returns ``(PowerAllocation, DualState, throughput)``.  The allocation
     always satisfies both constraint families (see
-    :meth:`PowerAllocation.validate`); ``DualState.converged`` records
-    whether the relative duality gap fell below the tolerance before the
-    iteration cap.
+    :meth:`PowerAllocation.validate`).  ``DualState.gap_trace`` holds the
+    relative gap between the best dual bound and the best recovered
+    allocation after each ellipsoid iteration, and last the gap of the
+    returned allocation; ``converged`` records whether that last gap is
+    below the tolerance.  ``iteration`` counts ellipsoid iterations,
+    feasibility cuts included, and is 0 for an enumerated instance;
+    ``delta``/``lambdas`` end on the center with the lowest dual value,
+    or on the optimum's KKT prices when the instance was enumerated.
     """
     opts = options or SolverOptions()
+    gains, caps = problem.gains, problem.power_caps
     n_users, n = problem.n_users, problem.n_subcarriers
-    step_scale = opts.step_scale
-    if step_scale is None:
-        step_scale = DEFAULT_STEP_SCALE * max(1.0, 1.0 / problem.margin) if problem.margin > 0 else DEFAULT_STEP_SCALE
-
     state = DualState(
-        delta=opts.delta_init,
-        lambdas=np.full(n_users, opts.lambda_init),
-        step_scale=step_scale,
-        trace=[] if opts.record_trace else None,
+        delta=0.0, lambdas=np.zeros(n_users), trace=[] if opts.record_trace else None
     )
-    if n_users == 0 or problem.margin <= 0 or not np.any(problem.power_caps > 0):
-        # Nothing to allocate: the margin forces p*g = 0 everywhere and
-        # subcarriers with g = 0 contribute no rate.
+    usable = (caps > 0) & np.any(gains > 0, axis=1)
+    if problem.margin <= 0 or not np.any(usable):
+        # Nothing to allocate: no user can put power on a positive gain
+        # within the margin, so every rate is zero.
         alloc = PowerAllocation.from_powers(np.zeros((n_users, n)))
         state.trivial = True
         state.converged = True
@@ -430,88 +450,92 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
         state.gap_trace.append(0.0)
         return alloc, state, 0.0
 
-    best_dual = np.inf
-    best_primal = 0.0
-    best_recovered = None  # (throughput, powers, owner, kkt_delta, kkt_lambdas)
-    dual_history = []
+    upper = np.inf
+    best = None  # (throughput, powers, owner, kkt_delta, kkt_lambdas)
 
-    def averaged_duals():
-        window = max(1, int(AVERAGING_FRACTION * len(dual_history)))
-        tail = np.asarray(dual_history[-window:])
-        return float(tail[:, 0].mean()), tail[:, 1:].mean(axis=0)
+    def recover(owner):
+        nonlocal upper, best
+        # A subcarrier nobody won goes to its best-gain user: the exact
+        # solve may leave it unpowered, so this never lowers the optimum.
+        owner = np.where(owner >= 0, owner, gains.argmax(axis=0))
+        powers, kkt_delta, kkt_lambdas = _solve_fixed_assignments(problem, owner[None])
+        value = throughput(problem, powers[0])
+        upper = min(upper, _dual_value(problem, kkt_delta[0], kkt_lambdas[0])[0])
+        if best is None or value > best[0]:
+            best = (value, powers[0], owner, kkt_delta[0], kkt_lambdas[0])
 
-    def recover():
-        nonlocal best_dual, best_primal, best_recovered
-        delta_bar, lambda_bar = averaged_duals()
-        _, owner, _ = _assign_all(problem, delta_bar, lambda_bar)
-        powers, kkt_delta, kkt_lams = _solve_fixed_assignment(problem, owner)
-        value = throughput(problem, powers)
-        if best_recovered is None or value > best_recovered[0]:
-            best_recovered = (value, powers, owner, kkt_delta, kkt_lams)
-        best_primal = max(best_primal, value)
-        for dd, ll in ((kkt_delta, kkt_lams), (delta_bar, lambda_bar)):
-            best_dual = min(best_dual, _dual_value(problem, dd, ll))
-        if problem.margin > 0:
-            # Analytic price of the pure channel-inverse regime.
-            inverse_delta = 1.0 / ((problem.margin + problem.noise_floor) * LN2)
-            best_dual = min(best_dual, _dual_value(problem, inverse_delta, np.zeros(n_users)))
+    def gap():
+        # Clipped at 0: a tight bound can fall a rounding below the primal.
+        return max(0.0, float(upper - best[0]) / max(best[0], 1e-12))
 
-    for t in range(1, opts.max_iterations + 1):
-        powers, owner, scores = _assign_all(problem, state.delta, state.lambdas)
-        dual = (
-            float(scores.sum())
-            + float(state.lambdas @ problem.power_caps)
-            + n * state.delta * problem.margin
-        )
-        best_dual = min(best_dual, dual)
-        feasible = _cheap_feasible(problem, powers)
-        best_primal = max(best_primal, throughput(problem, feasible))
-        gap = (best_dual - best_primal) / max(abs(best_primal), 1e-12)
-        state.gap_trace.append(gap)
-        if state.trace is not None:
-            state.trace.append(
-                {
-                    "iteration": t,
-                    "duality_gap": gap,
-                    "delta": state.delta,
-                    "lambdas": state.lambdas.copy(),
-                    "throughput": throughput(problem, feasible),
-                    "mean_interference": float(np.sum(feasible * problem.gains)) / n,
-                    "user_power": feasible.sum(axis=1),
-                }
-            )
-        dual_history.append(np.concatenate(([state.delta], state.lambdas)))
-        state = subgradient_step(state, powers, problem)
-        if t % opts.check_interval == 0 or t == opts.max_iterations:
-            recover()
-            gap = (best_dual - best_primal) / max(abs(best_primal), 1e-12)
-            state.gap_trace[-1] = gap
-            if state.trace is not None:
-                state.trace[-1]["duality_gap"] = gap
-            if gap < opts.gap_tolerance:
-                state.converged = True
-                break
-
-    if best_recovered is None:
-        recover()
-
-    # Tiny instances: enumerate every assignment through the exact
-    # restricted solve; the dual bound is genuinely loose at small N.
     if n_users**n <= EXHAUSTIVE_LIMIT:
-        for combo in itertools.product(range(n_users), repeat=n):
-            owner = np.asarray(combo)
-            powers, kkt_delta, kkt_lams = _solve_fixed_assignment(problem, owner)
-            value = throughput(problem, powers)
-            if value > best_recovered[0]:
-                best_recovered = (value, powers, owner, kkt_delta, kkt_lams)
-        best_primal = max(best_primal, best_recovered[0])
+        # Every assignment is solved exactly, so the best is the optimum.
+        owners = np.array(list(itertools.product(range(n_users), repeat=n)))
+        chunk = max(1, _BATCH_ENTRIES // (n_users * n))
+        for first in range(0, len(owners), chunk):
+            batch = owners[first : first + chunk]
+            powers, deltas, lambdas = _solve_fixed_assignments(problem, batch)
+            rates = np.sum(np.log2(1.0 + powers * gains / problem.noise_floor), axis=(1, 2))
+            i = int(np.argmax(rates))
+            if best is None or rates[i] > best[0]:
+                best = (rates[i], powers[i], batch[i], float(deltas[i]), lambdas[i])
+        best = (throughput(problem, best[1]),) + best[1:]
+        upper = best[0]
+        state.delta, state.lambdas = best[3], best[4].copy()
+    else:
+        # Above these prices no candidate power is positive and the dual
+        # only grows, so the box [0, top] holds a dual minimizer; the
+        # starting ellipsoid is the smallest axis-aligned one around it.
+        top = np.concatenate(([1.0], gains.max(axis=1))) / (problem.noise_floor * LN2)
+        dim = n_users + 1
+        center = 0.5 * top
+        shape = np.diag(dim * center**2)
+        lower, best_value = -np.inf, np.inf
+        for t in range(1, opts.max_iterations + 1):
+            state.iteration = t
+            if np.any(center < 0):
+                # Feasibility cut: every price is nonnegative.
+                cut = -np.eye(dim)[np.argmin(center)]
+                powers = None
+            else:
+                value, powers, owner = _dual_value(problem, center[0], center[1:])
+                cut = _subgradient(problem, powers)
+                if value < best_value:
+                    best_value, best_center, best_owner = value, center, owner
+                upper = min(upper, value)
+            root = float(np.sqrt(cut @ shape @ cut))
+            if powers is not None:
+                # The ellipsoid holds a minimizer x*, and f(x*) >= f(c) + g(x* - c).
+                lower = max(lower, value - root)
+            if t == 1 or t % opts.check_interval == 0:
+                recover(best_owner)
+            state.gap_trace.append(gap())
+            if state.trace is not None and powers is not None:
+                state.trace.append(
+                    {
+                        "iteration": t,
+                        "duality_gap": state.gap_trace[-1],
+                        "delta": center[0],
+                        "lambdas": center[1:].copy(),
+                        "throughput": throughput(problem, powers),
+                        "mean_interference": float(np.sum(powers * gains)) / n,
+                        "user_power": powers.sum(axis=1),
+                    }
+                )
+            # The recovered throughput is also a lower bound on the dual.
+            if not root > 0 or upper - max(lower, best[0]) <= DUAL_TOLERANCE * upper:
+                break
+            step = shape @ cut / root
+            center = center - step / (dim + 1)
+            shape = dim**2 / (dim**2 - 1.0) * (shape - 2.0 / (dim + 1) * np.outer(step, step))
+        state.delta, state.lambdas = float(best_center[0]), best_center[1:].copy()
+        recover(best_owner)
 
-    value, powers, owner, kkt_delta, kkt_lams = best_recovered
-    final_gap = (best_dual - max(best_primal, value)) / max(abs(max(best_primal, value)), 1e-12)
-    state.gap_trace.append(final_gap)
-    state.converged = state.converged or final_gap < opts.gap_tolerance
+    value, powers, owner, kkt_delta, kkt_lambdas = best
+    state.gap_trace.append(gap())
+    state.converged = bool(state.gap_trace[-1] < opts.gap_tolerance)
     state.kkt_delta = kkt_delta
-    state.kkt_lambdas = kkt_lams
+    state.kkt_lambdas = kkt_lambdas
     owner = np.where(powers.max(axis=0) > 0, owner, -1)
     alloc = PowerAllocation(powers=powers, assignment=owner)
     return alloc, state, value
@@ -576,6 +600,10 @@ def brute_force_oracle(problem: AllocationProblem):
     (SLSQP), independent of the dual-decomposition machinery.  Refuses
     instances beyond N=6 subcarriers or K=2 users.
     """
+    # Imported here: scipy.optimize adds about 0.4 s to every interpreter
+    # start, and nothing else in refarm needs it.
+    from scipy.optimize import minimize
+
     n_users, n = problem.n_users, problem.n_subcarriers
     if n > BRUTE_FORCE_MAX_SUBCARRIERS or n_users > BRUTE_FORCE_MAX_USERS:
         raise InvalidParameterError("brute force limited to N <= 6, K <= 2")

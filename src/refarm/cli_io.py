@@ -41,9 +41,6 @@ _SWEEP_KEYS = {
 _SOLVER_KEYS = {
     "max_iterations": ("int", 5000),
     "gap_tolerance": ("float", 1e-3),
-    "step_scale": ("optional_float", None),
-    "delta_init": ("float", 0.01),
-    "lambda_init": ("float", 0.1),
 }
 _SECTIONS = {"system": _SYSTEM_KEYS, "sweep": _SWEEP_KEYS, "solver": _SOLVER_KEYS}
 
@@ -90,8 +87,6 @@ def _parse_value(kind: str, text: str, key: str):
             return float(text)
         if kind == "optional_int":
             return int(text) if text else None
-        if kind == "optional_float":
-            return float(text) if text else None
         if kind == "float_list":
             return tuple(float(p) for p in text.split(","))
         if kind == "grid":
@@ -186,9 +181,6 @@ def parse_config(path=None, overrides=()) -> RunSettings:
         options = SolverOptions(
             max_iterations=solver["max_iterations"],
             gap_tolerance=solver["gap_tolerance"],
-            step_scale=solver["step_scale"],
-            delta_init=solver["delta_init"],
-            lambda_init=solver["lambda_init"],
         )
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc

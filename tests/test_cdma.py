@@ -230,14 +230,15 @@ def _chip_space_reference(sigs, q, prof, sigma2):
     return with_self / (1.0 - with_self)
 
 
-@pytest.mark.parametrize("n_users", [1, 13, 31, 32, 40])
+@pytest.mark.parametrize("n_users", [1, 13, 26, 27, 31, 32, 40])
 def test_mmse_matches_chip_space_reference(n_users, monkeypatch):
-    # U < N takes the U x U Woodbury form, U >= N the N x N covariance.
+    # Up to U = 26 = 0.81 N the U x U Woodbury form takes fewer flops;
+    # from U = 27 = 0.84 N on, the N x N covariance does.
     n = 32
     sigs, profile = _random_instance(n_users, n=n, n_users=n_users, taps=4)
     prof = profile.per_subcarrier
     assert np.ptp(prof) > 1.0
-    other = "_chip_space_solve" if n_users < n else "_user_space_solve"
+    other = "_chip_space_solve" if n_users <= 26 else "_user_space_solve"
 
     def wrong_path(*args):
         raise AssertionError(f"{other} used at U={n_users}, N={n}")

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import refarm
 from refarm import ConfigError, db_to_linear
 from refarm.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from refarm.cli_io import DEFAULT_GRIDS, emit_csv, format_value, parse_config
@@ -238,11 +243,29 @@ def test_no_ofdma_users(tmp_path, command):
         ("[system]\nbandwidth_hz = 5e6\n", "bandwidth_hz"),
         ("[solver]\nmax_iterations = 0\n", "max_iterations"),
         ("[solver]\ngap_tolerance = 0\n", "gap_tolerance"),
+        ("[solver]\nstep_scale = 0.1\n", "step_scale"),
+        ("[solver]\ndelta_init = 0.01\n", "delta_init"),
+        ("[solver]\nlambda_init = 0.1\n", "lambda_init"),
     ],
-    ids=["cp_length", "bandwidth_hz", "max_iterations", "gap_tolerance"],
+    ids=[
+        "cp_length", "bandwidth_hz", "max_iterations", "gap_tolerance",
+        "step_scale", "delta_init", "lambda_init",
+    ],
 )
 def test_rejected_config_exits_2_naming_the_key(tmp_path, capsys, text, name):
     path = tmp_path / "run.ini"
     path.write_text(text)
     assert main(["--config", str(path), "--out", str(tmp_path / "run"), "margin"]) == EXIT_CONFIG
     assert name in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about 0.4 s to every start; only the SLSQP test
+    # oracle needs it, and it imports it itself.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(refarm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, refarm, refarm.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"
