@@ -16,18 +16,19 @@ holds a box that holds a dual minimizer, so every evaluated center gives
 a certified lower bound on the dual minimum, and the loop stops once the
 dual minimum is known to a relative DUAL_TOLERANCE.
 
-A feasible primal is recovered by fixing the subcarrier assignment won at
-the best center and solving the convex problem that is left exactly: a
-Newton iteration on each user's cap price inside a safeguarded Newton
-iteration on the interference price.  The prices of that solve are
-themselves a dual point, which can lower the dual bound.  The reported
-duality gap and ``converged`` flag are measured against the allocation
-that is returned.
+A feasible primal is recovered by fixing subcarrier assignments and
+solving the convex problem that is left exactly: a Newton iteration on
+each user's cap price inside a safeguarded Newton iteration on the
+interference price.  Recovery solves a stack of assignments exactly and
+keeps the best.  The dual loop passes the assignment won at its best
+center; the prices of that solve are themselves a dual point, which can
+lower the dual bound.  The reported duality gap and ``converged`` flag
+are measured against the allocation that is returned.
 
-Tiny instances (K**N <= EXHAUSTIVE_LIMIT) skip the dual loop: every
-assignment goes through the exact restricted solve, so the best one is
-the optimum and its duality gap is 0.  Their dual bound can be genuinely
-loose, by about K + 1 subcarriers' worth of rate.
+Tiny instances (K**N <= EXHAUSTIVE_LIMIT) skip the dual loop and pass
+all K**N assignments, so the best one is the optimum and its duality gap
+is 0.  Their dual bound can be genuinely loose, by about K + 1
+subcarriers' worth of rate.
 
 The candidate powers used inside the dual are additionally clipped at
 the user's own cap.  The clip is implied by the cap constraint, so it
@@ -56,6 +57,14 @@ DUAL_TOLERANCE = 1e-7
 #: Instances with at most this many assignments (K**N) are solved by
 #: enumerating every assignment through the exact restricted solve.
 EXHAUSTIVE_LIMIT = 4096
+
+#: The dual loop recovers a primal at its first iteration, every
+#: RECOVERY_INTERVAL iterations and once more at its end; the recovered
+#: throughput tightens its stopping test.  At 2 x 256 one recovery costs
+#: 5 to 45 dual evaluations (median 10, timed on the seed-42 load-sweep
+#: instances), so this interval keeps it within a fifth of a long loop.
+#: Changing this constant changes the returned allocations and the CSVs.
+RECOVERY_INTERVAL = 250
 
 #: Relative accuracy of the restricted solve's Newton iterations on the
 #: spend of each cap and on the received power.  Newton converges
@@ -150,10 +159,9 @@ class PowerAllocation:
 
 @dataclass
 class DualState:
-    """Dual prices and convergence bookkeeping for the ellipsoid solver."""
+    """Bookkeeping of one :func:`solve_p1` call: ``iteration`` is 0 when no
+    dual loop ran, and ``kkt_delta``/``kkt_lambdas`` are always set."""
 
-    delta: float
-    lambdas: np.ndarray
     iteration: int = 0
     gap_trace: list = field(default_factory=list)
     converged: bool = False
@@ -162,24 +170,17 @@ class DualState:
     kkt_lambdas: np.ndarray | None = None
     trace: list | None = None
 
-    def __post_init__(self):
-        self.lambdas = np.asarray(self.lambdas, dtype=float)
-        if self.delta < 0 or np.any(self.lambdas < 0):
-            raise InvalidParameterError("dual variables must be >= 0")
-
 
 @dataclass
 class SolverOptions:
     max_iterations: int = 5000
     gap_tolerance: float = 1e-3
-    check_interval: int = 250
     record_trace: bool = False
 
     def __post_init__(self):
         checks = [
             (self.max_iterations >= 1, "max_iterations >= 1"),
             (self.gap_tolerance > 0, "gap_tolerance > 0"),
-            (self.check_interval >= 1, "check_interval >= 1"),
         ]
         for ok, name in checks:
             if not ok:
@@ -198,9 +199,10 @@ class ChannelInverseResult(NamedTuple):
     excluded_subcarriers: int
 
 
-def throughput(problem: AllocationProblem, powers: np.ndarray) -> float:
-    """Sum rate in bits per OFDMA symbol."""
-    return float(np.sum(np.log2(1.0 + powers * problem.gains / problem.noise_floor)))
+def throughput(problem: AllocationProblem, powers: np.ndarray):
+    """Sum rate in bits per OFDMA symbol, one per matrix of a (B, K, N) stack."""
+    rates = np.sum(np.log2(1.0 + powers * problem.gains / problem.noise_floor), axis=(-2, -1))
+    return rates if rates.ndim else float(rates)
 
 
 # ---------------------------------------------------------------------------
@@ -283,28 +285,6 @@ def _subgradient(problem, powers):
 # ---------------------------------------------------------------------------
 # Exact restricted solves (assignment fixed)
 # ---------------------------------------------------------------------------
-
-def _waterfill_closed_form(gains, cap, noise_floor):
-    """Exact capped water-filling: p = [w - floor/g]^+ with sum p = cap."""
-    powers = np.zeros_like(gains)
-    positive = gains > 0
-    if cap <= 0 or not np.any(positive):
-        return powers, float("inf"), False
-    base = noise_floor / gains[positive]
-    order = np.argsort(base)
-    sorted_base = base[order]
-    cumulative = np.cumsum(sorted_base)
-    for active in range(sorted_base.size, 0, -1):
-        level = (cap + cumulative[active - 1]) / active
-        if level > sorted_base[active - 1]:
-            break
-    filled = np.zeros(sorted_base.size)
-    filled[:active] = level - sorted_base[:active]
-    unsorted = np.zeros_like(filled)
-    unsorted[order] = filled
-    powers[positive] = unsorted
-    return powers, float(level), True
-
 
 def _priced_powers(owned, noise_floor, caps, delta, start):
     """Every user's restricted optimum at interference prices delta.
@@ -414,6 +394,26 @@ def _solve_fixed_assignments(problem, owners):
     return powers, delta, lambdas
 
 
+def _best_assignment(problem, owners):
+    """``(throughput, powers, kkt_delta, kkt_lambdas)`` of the best of (B, N) assignments.
+
+    A subcarrier owned by -1 goes to its best-gain user: the exact solve
+    may leave it unpowered, so this never lowers the optimum.
+    """
+    owners = np.where(owners >= 0, owners, problem.gains.argmax(axis=0))
+    chunk = max(1, _BATCH_ENTRIES // problem.gains.size)
+    best = None
+    for first in range(0, len(owners), chunk):
+        powers, deltas, lambdas = _solve_fixed_assignments(problem, owners[first : first + chunk])
+        rates = throughput(problem, powers)
+        i = int(np.argmax(rates))
+        if best is None or rates[i] > best[0]:
+            best = (rates[i], powers[i], float(deltas[i]), lambdas[i])
+    # Summed again on the winner alone, so the value is throughput() of
+    # the returned powers to the last bit.
+    return (throughput(problem, best[1]),) + best[1:]
+
+
 # ---------------------------------------------------------------------------
 # Full solvers
 # ---------------------------------------------------------------------------
@@ -428,60 +428,26 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
     allocation after each ellipsoid iteration, and last the gap of the
     returned allocation; ``converged`` records whether that last gap is
     below the tolerance.  ``iteration`` counts ellipsoid iterations,
-    feasibility cuts included, and is 0 for an enumerated instance;
-    ``delta``/``lambdas`` end on the center with the lowest dual value,
-    or on the optimum's KKT prices when the instance was enumerated.
+    feasibility cuts included, and is 0 when no dual loop ran.
+    ``kkt_delta`` and ``kkt_lambdas`` are always set: they are the prices
+    of the restricted solve that gave the returned allocation.
     """
     opts = options or SolverOptions()
     gains, caps = problem.gains, problem.power_caps
     n_users, n = problem.n_users, problem.n_subcarriers
-    state = DualState(
-        delta=0.0, lambdas=np.zeros(n_users), trace=[] if opts.record_trace else None
-    )
+    state = DualState(trace=[] if opts.record_trace else None)
     usable = (caps > 0) & np.any(gains > 0, axis=1)
     if problem.margin <= 0 or not np.any(usable):
         # Nothing to allocate: no user can put power on a positive gain
         # within the margin, so every rate is zero.
-        alloc = PowerAllocation.from_powers(np.zeros((n_users, n)))
         state.trivial = True
-        state.converged = True
-        state.kkt_delta = 0.0
-        state.kkt_lambdas = np.zeros(n_users)
+        best = (0.0, np.zeros((n_users, n)), 0.0, np.zeros(n_users))
         state.gap_trace.append(0.0)
-        return alloc, state, 0.0
-
-    upper = np.inf
-    best = None  # (throughput, powers, owner, kkt_delta, kkt_lambdas)
-
-    def recover(owner):
-        nonlocal upper, best
-        # A subcarrier nobody won goes to its best-gain user: the exact
-        # solve may leave it unpowered, so this never lowers the optimum.
-        owner = np.where(owner >= 0, owner, gains.argmax(axis=0))
-        powers, kkt_delta, kkt_lambdas = _solve_fixed_assignments(problem, owner[None])
-        value = throughput(problem, powers[0])
-        upper = min(upper, _dual_value(problem, kkt_delta[0], kkt_lambdas[0])[0])
-        if best is None or value > best[0]:
-            best = (value, powers[0], owner, kkt_delta[0], kkt_lambdas[0])
-
-    def gap():
-        # Clipped at 0: a tight bound can fall a rounding below the primal.
-        return max(0.0, float(upper - best[0]) / max(best[0], 1e-12))
-
-    if n_users**n <= EXHAUSTIVE_LIMIT:
+    elif n_users**n <= EXHAUSTIVE_LIMIT:
         # Every assignment is solved exactly, so the best is the optimum.
         owners = np.array(list(itertools.product(range(n_users), repeat=n)))
-        chunk = max(1, _BATCH_ENTRIES // (n_users * n))
-        for first in range(0, len(owners), chunk):
-            batch = owners[first : first + chunk]
-            powers, deltas, lambdas = _solve_fixed_assignments(problem, batch)
-            rates = np.sum(np.log2(1.0 + powers * gains / problem.noise_floor), axis=(1, 2))
-            i = int(np.argmax(rates))
-            if best is None or rates[i] > best[0]:
-                best = (rates[i], powers[i], batch[i], float(deltas[i]), lambdas[i])
-        best = (throughput(problem, best[1]),) + best[1:]
-        upper = best[0]
-        state.delta, state.lambdas = best[3], best[4].copy()
+        best = _best_assignment(problem, owners)
+        state.gap_trace.append(0.0)
     else:
         # Above these prices no candidate power is positive and the dual
         # only grows, so the box [0, top] holds a dual minimizer; the
@@ -490,26 +456,36 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
         dim = n_users + 1
         center = 0.5 * top
         shape = np.diag(dim * center**2)
-        lower, best_value = -np.inf, np.inf
-        for t in range(1, opts.max_iterations + 1):
-            state.iteration = t
-            if np.any(center < 0):
-                # Feasibility cut: every price is nonnegative.
-                cut = -np.eye(dim)[np.argmin(center)]
-                powers = None
-            else:
-                value, powers, owner = _dual_value(problem, center[0], center[1:])
-                cut = _subgradient(problem, powers)
-                if value < best_value:
-                    best_value, best_center, best_owner = value, center, owner
-                upper = min(upper, value)
-            root = float(np.sqrt(cut @ shape @ cut))
-            if powers is not None:
-                # The ellipsoid holds a minimizer x*, and f(x*) >= f(c) + g(x* - c).
-                lower = max(lower, value - root)
-            if t == 1 or t % opts.check_interval == 0:
-                recover(best_owner)
-            state.gap_trace.append(gap())
+        lower, upper, best_value, best, stop = -np.inf, np.inf, np.inf, None, False
+        # The pass after the last iteration only recovers a primal from
+        # the best center and records the gap of the returned allocation.
+        for t in range(1, opts.max_iterations + 2):
+            final = stop or t > opts.max_iterations
+            if not final:
+                state.iteration = t
+                if np.any(center < 0):
+                    # Feasibility cut: every price is nonnegative.
+                    cut = -np.eye(dim)[np.argmin(center)]
+                    powers = None
+                else:
+                    value, powers, owner = _dual_value(problem, center[0], center[1:])
+                    cut = _subgradient(problem, powers)
+                    if value < best_value:
+                        best_value, best_owner = value, owner
+                    upper = min(upper, value)
+                root = float(np.sqrt(cut @ shape @ cut))
+                if powers is not None:
+                    # The ellipsoid holds a minimizer x*, and f(x*) >= f(c) + g(x* - c).
+                    lower = max(lower, value - root)
+            if final or t == 1 or t % RECOVERY_INTERVAL == 0:
+                found = _best_assignment(problem, best_owner[None])
+                upper = min(upper, _dual_value(problem, found[2], found[3])[0])
+                if best is None or found[0] > best[0]:
+                    best = found
+            # Clipped at 0: a tight bound can fall a rounding below the primal.
+            state.gap_trace.append(max(0.0, float(upper - best[0]) / max(best[0], 1e-12)))
+            if final:
+                break
             if state.trace is not None and powers is not None:
                 state.trace.append(
                     {
@@ -523,22 +499,15 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
                     }
                 )
             # The recovered throughput is also a lower bound on the dual.
-            if not root > 0 or upper - max(lower, best[0]) <= DUAL_TOLERANCE * upper:
-                break
-            step = shape @ cut / root
-            center = center - step / (dim + 1)
-            shape = dim**2 / (dim**2 - 1.0) * (shape - 2.0 / (dim + 1) * np.outer(step, step))
-        state.delta, state.lambdas = float(best_center[0]), best_center[1:].copy()
-        recover(best_owner)
+            stop = not root > 0 or upper - max(lower, best[0]) <= DUAL_TOLERANCE * upper
+            if not stop:
+                step = shape @ cut / root
+                center = center - step / (dim + 1)
+                shape = dim**2 / (dim**2 - 1.0) * (shape - 2.0 / (dim + 1) * np.outer(step, step))
 
-    value, powers, owner, kkt_delta, kkt_lambdas = best
-    state.gap_trace.append(gap())
+    value, powers, state.kkt_delta, state.kkt_lambdas = best
     state.converged = bool(state.gap_trace[-1] < opts.gap_tolerance)
-    state.kkt_delta = kkt_delta
-    state.kkt_lambdas = kkt_lambdas
-    owner = np.where(powers.max(axis=0) > 0, owner, -1)
-    alloc = PowerAllocation(powers=powers, assignment=owner)
-    return alloc, state, value
+    return PowerAllocation.from_powers(powers), state, value
 
 
 def solve_p2_waterfill(gains, cap, noise_floor) -> WaterfillResult:
@@ -554,10 +523,24 @@ def solve_p2_waterfill(gains, cap, noise_floor) -> WaterfillResult:
         raise InvalidParameterError("cap must be >= 0")
     if np.any(gains < 0):
         raise InvalidParameterError("gains must be >= 0")
-    if cap == 0:
-        return WaterfillResult(np.zeros_like(gains), float("inf"), True)
-    powers, level, ok = _waterfill_closed_form(gains, cap, noise_floor)
-    return WaterfillResult(powers, level, ok)
+    powers = np.zeros_like(gains)
+    positive = gains > 0
+    if cap == 0 or not np.any(positive):
+        return WaterfillResult(powers, float("inf"), bool(cap == 0))
+    base = noise_floor / gains[positive]
+    order = np.argsort(base)
+    sorted_base = base[order]
+    cumulative = np.cumsum(sorted_base)
+    for active in range(sorted_base.size, 0, -1):
+        level = (cap + cumulative[active - 1]) / active
+        if level > sorted_base[active - 1]:
+            break
+    filled = np.zeros(sorted_base.size)
+    filled[:active] = level - sorted_base[:active]
+    unsorted = np.zeros_like(filled)
+    unsorted[order] = filled
+    powers[positive] = unsorted
+    return WaterfillResult(powers, float(level), True)
 
 
 def solve_p3_channel_inverse(problem: AllocationProblem) -> ChannelInverseResult:
@@ -573,19 +556,16 @@ def solve_p3_channel_inverse(problem: AllocationProblem) -> ChannelInverseResult
     n_users, n = gains.shape
     best_gain = gains.max(axis=0) if n_users else np.zeros(n)
     usable = best_gain > 0
-    owner = np.where(usable, gains.argmax(axis=0) if n_users else -1, -1)
     n_active = int(usable.sum())
     powers = np.zeros((n_users, n))
+    rate = 0.0
     if problem.margin > 0 and n_active > 0:
         received = problem.margin * n / n_active
         cols = np.nonzero(usable)[0]
-        powers[owner[cols], cols] = received / best_gain[cols]
+        owner = gains[:, cols].argmax(axis=0)
+        powers[owner, cols] = received / best_gain[cols]
         rate = n_active * np.log2(1.0 + received / problem.noise_floor)
-    else:
-        owner = np.full(n, -1)
-        rate = 0.0
-    alloc = PowerAllocation(powers=powers, assignment=owner)
-    return ChannelInverseResult(alloc, float(rate), n - n_active)
+    return ChannelInverseResult(PowerAllocation.from_powers(powers), float(rate), n - n_active)
 
 
 BRUTE_FORCE_MAX_SUBCARRIERS = 6
@@ -652,5 +632,4 @@ def brute_force_oracle(problem: AllocationProblem):
             best_powers = np.maximum(result.x, 0.0)
     powers = np.zeros((n_users, n))
     powers[best_assignment, np.arange(n)] = best_powers
-    owner = np.where(best_powers > 0, best_assignment, -1)
-    return PowerAllocation(powers=powers, assignment=owner), float(best_value)
+    return PowerAllocation.from_powers(powers), float(best_value)

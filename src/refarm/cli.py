@@ -76,25 +76,6 @@ def _build_parser():
     return parser
 
 
-def _sweep_spec(settings, parameter, args):
-    # The configured grid belongs to the configured sweep parameter; the
-    # other command sweeps its parameter's default grid.
-    if settings.sweep_parameter == parameter:
-        grid = settings.grid
-    else:
-        grid = cli_io.DEFAULT_GRIDS[parameter]
-    return SweepSpec(
-        parameter=parameter,
-        grid=np.asarray(grid),
-        receiver=settings.receiver,
-        base=settings.system,
-        trials=args.trials or settings.trials,
-        seed=args.seed,
-        channel_model=settings.channel_model,
-        solver=settings.solver,
-    )
-
-
 def _cmd_margin(settings, args, out):
     path = out / "margin.csv"
     cli_io.emit_csv(margin_rows(settings.system), MARGIN_COLUMNS, path)
@@ -112,18 +93,30 @@ def _cmd_allocate(settings, args, out):
     return [alloc_path, summary_path]
 
 
-def _cmd_sweep_load(settings, args, out):
-    spec = _sweep_spec(settings, "alpha", args)
-    result = run_load_sweep(spec)
-    path = out / "sweep_load.csv"
-    cli_io.emit_csv(result.rows, result.columns, path)
-    return [path]
-
-
-def _cmd_sweep_snr(settings, args, out):
-    spec = _sweep_spec(settings, "receive_snr_db", args)
-    result = run_snr_sweep(spec)
-    path = out / "sweep_snr.csv"
+def _cmd_sweep(settings, args, out):
+    # The runners are looked up per call, so a wrapper put on them sees it.
+    if args.command == "sweep-load":
+        parameter, run, name = "alpha", run_load_sweep, "sweep_load.csv"
+    else:
+        parameter, run, name = "receive_snr_db", run_snr_sweep, "sweep_snr.csv"
+    # The configured grid belongs to the configured sweep parameter; the
+    # other command sweeps its parameter's default grid.
+    if settings.sweep_parameter == parameter:
+        grid = settings.grid
+    else:
+        grid = cli_io.DEFAULT_GRIDS[parameter]
+    spec = SweepSpec(
+        parameter=parameter,
+        grid=np.asarray(grid),
+        receiver=settings.receiver,
+        base=settings.system,
+        trials=args.trials or settings.trials,
+        seed=args.seed,
+        channel_model=settings.channel_model,
+        solver=settings.solver,
+    )
+    result = run(spec)
+    path = out / name
     cli_io.emit_csv(result.rows, result.columns, path)
     return [path]
 
@@ -150,8 +143,8 @@ def _cmd_validate(settings, args, out):
 _COMMANDS = {
     "margin": _cmd_margin,
     "allocate": _cmd_allocate,
-    "sweep-load": _cmd_sweep_load,
-    "sweep-snr": _cmd_sweep_snr,
+    "sweep-load": _cmd_sweep,
+    "sweep-snr": _cmd_sweep,
     "trace": _cmd_regime,
     "snapshot": _cmd_regime,
     "validate": _cmd_validate,

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import pytest
 
 import refarm
 from refarm import ConfigError, db_to_linear
-from refarm.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from refarm.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from refarm.cli_io import DEFAULT_GRIDS, emit_csv, format_value, parse_config
 
 
@@ -269,3 +270,111 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys):
+    # At 140 dB the 3-user MMSE system is too ill-conditioned for the
+    # residual check of its linear solve.
+    overrides = ["subcarriers=4", "multipath=1", "cdma_users=3", "receive_snr_db=140"]
+    args = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["--out", str(tmp_path), *args, "validate"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_without_quiet_each_written_path_is_printed(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "margin"]) == EXIT_OK
+    assert str(out / "margin.csv") in capsys.readouterr().out.splitlines()
+
+
+# SHA-256 of every file these commands write at --seed 42.  They pin the
+# allocator-facing outputs byte for byte: a change meant to move a CSV
+# records new digests here.  The sweeps and `validate` are left out
+# because their Monte Carlo MMSE goes through BLAS.
+MF_CONFIG = "a19371aa970d06d581219d6e4f65012b56f41f22f768973bae245fb3681b2fbb"
+MMSE_CONFIG = "97199b1ab8b1d8079841560252f4ef583192e70864c2c6d65d06afe793a228b5"
+ALLOCATION = "529902f8b6f472160574265ff32ae2fe4e24f5f252636dc82aebad84dd74cf1f"
+GOLDEN = {
+    "margin": (
+        ["margin"],
+        {
+            "margin.csv": "1e28c5ddef839efc29fb73fa0010aa037505a368ad81d3f9d94c53c9b793b899",
+            "resolved_config.ini": MF_CONFIG,
+        },
+    ),
+    "allocate-mf": (
+        ["--set", "receiver=mf", "allocate"],
+        {
+            "allocation.csv": ALLOCATION,
+            "allocation_summary.csv": "1afb6d5c36a191149a649a56988547836455b3a887a6a02a9e01c329661308d8",
+            "resolved_config.ini": MF_CONFIG,
+        },
+    ),
+    "allocate-mmse": (
+        ["--set", "receiver=mmse", "allocate"],
+        {
+            "allocation.csv": ALLOCATION,
+            "allocation_summary.csv": "e5a540b90f9147d161cdf6f2dbf8ce00e13c8396d1a8d4cbab5ffb6da01cf4fc",
+            "resolved_config.ini": MMSE_CONFIG,
+        },
+    ),
+    "allocate-infeasible": (
+        ["--set", "alpha=0.9", "allocate"],
+        {
+            "allocation.csv": "357b703f41b1273819c3c86e2fad428d95c22b48d2e688dbfb11bc14fd5ca9c3",
+            "allocation_summary.csv": "056f18ef61b7dc34acfc3b816996ac8d72814cc010adb57ed8d01f2e262ea9e6",
+            "resolved_config.ini": "cc40dd3086b1fcc387f836898eb9894b22baa59f10e479454d307ce4a1a60d69",
+        },
+    ),
+    # This output is the known flat-channel defect (ROADMAP open item 1):
+    # every subcarrier is tied at the best center, and the solve stops at
+    # gap 0.78 with converged=false.  Its fix changes these digests on
+    # purpose.
+    "allocate-flat": (
+        ["--set", "channel_model=flat", "allocate"],
+        {
+            "allocation.csv": "57503b5309f1c3041400646de12d57e5aefd655d52a31129aaca2ae7b1154b3d",
+            "allocation_summary.csv": "fed3bb6fc5ee275d63c806b3fde8b75366317fcd71fba0c0dff071562ef5a067",
+            "resolved_config.ini": "320112682e6e9e5dd3ad600c954a690d483dfd765931a3d5562825729fcbca16",
+        },
+    ),
+    # 2**8 assignments: solve_p1 enumerates them and runs no dual loop.
+    "allocate-enumerated": (
+        ["--set", "subcarriers=8", "--set", "multipath=1", "allocate"],
+        {
+            "allocation.csv": "1eebdf362ce1dc8b8645fa4599853fb52ad864a2a89725c4c6d2da020590724b",
+            "allocation_summary.csv": "2a22b14726b988ba1fcc5c8910988965a2fe16f32c1cea0a87b9715c74e58345",
+            "resolved_config.ini": "52892eecebc01031e78a88cf6694516a9bb209f675116cc63f5db5f92e374d79",
+        },
+    ),
+}
+REGIME_DIGESTS = {
+    ("trace", "light", "mf"): "12d81b4f980455ca57751505287f4bfaea9e0a1ed6bda3ebdf79756afc80f0c5",
+    ("trace", "heavy", "mf"): "c9a33725ea50e54012b46a2bc61b7393af42c50ca1e9a5946bc392f03b3cc074",
+    ("snapshot", "light", "mf"): "c58454a73721fc50a4fe73ef104fcd9156cd945e9def503d52bc9206021fa819",
+    ("snapshot", "heavy", "mf"): "0c8791398b2e98041bc6f0b47ccb90e48a6fe04b92cfaeedc6462f92f75c5222",
+    ("trace", "light", "mmse"): "1fcd18e85cd4fb1da330ddbb7c89bd08aa4b0ef95a5141e7d94ae8c78cbbb613",
+    ("trace", "heavy", "mmse"): "32cd30d3b22998f558a9d371ead1e601dd87baabb55ac3087c0895a3de65ac03",
+    ("snapshot", "light", "mmse"): "a056de11bc9d5ff170d7912e8135eb94b78844f67a877f7ca4a7d5eb31514053",
+    ("snapshot", "heavy", "mmse"): "0b44e0316e07d1d022e980c0c25dc8a3dde0d42b7e53eabe45b8579b0bcc20a2",
+}
+for (command, regime, receiver), digest in REGIME_DIGESTS.items():
+    GOLDEN[f"{command}-{regime}-{receiver}"] = (
+        ["--set", f"receiver={receiver}", command, "--regime", regime],
+        {
+            f"{command}_{regime}.csv": digest,
+            "resolved_config.ini": MF_CONFIG if receiver == "mf" else MMSE_CONFIG,
+        },
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_allocator_commands_match_recorded_digests(tmp_path, case):
+    args, expected = GOLDEN[case]
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "--quiet", "--seed", "42", *args]) == EXIT_OK
+    written = sorted(path.name for path in out.iterdir())
+    assert written == sorted(expected)
+    for name, digest in expected.items():
+        actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert actual == digest, f"{name} changed"

@@ -16,7 +16,7 @@ from refarm.experiments import (
 SMALL = SystemConfig(
     n_subcarriers=32, alpha=0.2, ofdma_users=2, multipath_taps=4, power_caps=(200.0, 200.0)
 )
-FAST_SOLVER = SolverOptions(max_iterations=600, check_interval=150)
+FAST_SOLVER = SolverOptions(max_iterations=600)
 
 
 def small_spec(**kwargs):
