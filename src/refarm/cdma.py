@@ -82,8 +82,7 @@ class InterferenceProfile:
         self.per_subcarrier = np.asarray(self.per_subcarrier, dtype=float)
         if self.per_subcarrier.ndim != 1:
             raise InvalidParameterError("profile must be a vector")
-        if np.any(self.per_subcarrier < 0):
-            raise InvalidParameterError("interference powers must be >= 0")
+        _check_powers(self.per_subcarrier)
 
     @property
     def mean(self) -> float:
@@ -108,12 +107,18 @@ class InterferenceProfile:
         return cls(np.sum(powers * gains, axis=0))
 
 
+def _check_powers(values):
+    if not np.all((values >= 0) & np.isfinite(values)):
+        raise InvalidParameterError("interference powers must be finite and >= 0")
+
+
 def profile_array(profile, n_subcarriers: int | None = None) -> np.ndarray:
     """Coerce an InterferenceProfile, vector, scalar level or None to a vector.
 
     A scalar level (None meaning 0) fills ``n_subcarriers`` entries, or a
     single entry when no length is given; a vector must have the given
-    length.  Raises InvalidParameterError on any negative power.
+    length.  Raises InvalidParameterError on any negative or non-finite
+    power.
     """
     if isinstance(profile, InterferenceProfile):
         values = profile.per_subcarrier
@@ -126,8 +131,7 @@ def profile_array(profile, n_subcarriers: int | None = None) -> np.ndarray:
         raise InvalidParameterError(
             f"profile length {values.shape} does not match {n_subcarriers} subcarriers"
         )
-    if np.any(values < 0):
-        raise InvalidParameterError("interference powers must be >= 0")
+    _check_powers(values)
     return values
 
 
@@ -159,7 +163,12 @@ def _check_signatures(signatures):
     signatures = np.asarray(signatures)
     if signatures.ndim != 2 or signatures.shape[0] < 1:
         raise InvalidParameterError("need at least one signature row")
-    norms = np.linalg.norm(signatures, axis=1)
+    # A row holding inf has a NaN norm (inf * 0 in the complex product);
+    # it is refused by name below, so that product need not warn.
+    with np.errstate(invalid="ignore"):
+        norms = np.linalg.norm(signatures, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise InvalidParameterError("signatures must be finite")
     if np.any(norms == 0):
         raise InvalidParameterError("degenerate user: zero-norm signature")
     return signatures

@@ -78,19 +78,25 @@ def _parse_grid(text: str) -> tuple:
     return tuple(float(p) for p in text.split(","))
 
 
+def _finite(value, text: str, key: str):
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"key {key!r} must be finite, got {text!r}")
+    return value
+
+
 def _parse_value(kind: str, text: str, key: str):
     text = text.strip()
     try:
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            return _finite(float(text), text, key)
         if kind == "optional_int":
             return int(text) if text else None
         if kind == "float_list":
-            return tuple(float(p) for p in text.split(","))
+            return _finite(tuple(float(p) for p in text.split(",")), text, key)
         if kind == "grid":
-            return _parse_grid(text)
+            return _finite(_parse_grid(text), text, key)
         if kind.startswith("choice:"):
             choices = kind.split(":", 1)[1].split(",")
             if text not in choices:

@@ -11,6 +11,7 @@ from refarm import (
     gen_channel_set,
     gen_spreading_codes,
     mf_sinr_exact,
+    mmse_fixed_point_uniform,
     mmse_sinr_exact,
     simulate_uplink_frame,
 )
@@ -149,6 +150,41 @@ def test_zero_norm_signature_rejected():
         mf_sinr_exact(sigs, Q, InterferenceProfile.zero(8), SIGMA2)
 
 
+def _signatures(n_users, n=8):
+    return effective_signatures(
+        gen_spreading_codes(n_users, n, np.random.default_rng(4)), awgn_channels(n_users, n)
+    )
+
+
+# 3 users on 8 chips take the U x U MMSE path, 8 users the N x N one.
+_PROFILE_CHECKS = {
+    "profile": lambda p: InterferenceProfile(np.atleast_1d(p)),
+    "mf": lambda p: mf_sinr_exact(_signatures(3), Q, p, SIGMA2),
+    "mmse-user-space": lambda p: mmse_sinr_exact(_signatures(3), Q, p, SIGMA2),
+    "mmse-chip-space": lambda p: mmse_sinr_exact(_signatures(8), Q, p, SIGMA2),
+    "fixed-point": lambda p: mmse_fixed_point_uniform(0.2, Q, p, SIGMA2),
+}
+_NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+
+
+@pytest.mark.parametrize("form", ["scalar", "vector"])
+@pytest.mark.parametrize("value", _NON_FINITE.values(), ids=_NON_FINITE.keys())
+@pytest.mark.parametrize("check", _PROFILE_CHECKS.values(), ids=_PROFILE_CHECKS.keys())
+def test_non_finite_interference_rejected_by_name(check, value, form):
+    profile = value if form == "scalar" else np.array([1.0, value, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0])
+    with pytest.raises(InvalidParameterError, match="interference powers must be finite"):
+        check(profile)
+
+
+@pytest.mark.parametrize("value", _NON_FINITE.values(), ids=_NON_FINITE.keys())
+@pytest.mark.parametrize("receiver", [mf_sinr_exact, mmse_sinr_exact], ids=["mf", "mmse"])
+def test_non_finite_signatures_rejected_by_name(receiver, value):
+    sigs = _signatures(3)
+    sigs[1, 2] = value
+    with pytest.raises(InvalidParameterError, match="signatures must be finite"):
+        receiver(sigs, Q, None, SIGMA2)
+
+
 # --- linear MMSE ----------------------------------------------------------
 
 def test_mmse_single_user_equals_matched_filter():
@@ -276,6 +312,17 @@ def test_mmse_near_duplicate_signatures_fail_residual_check():
     sigs[1, 0] += 1e-9
     with pytest.raises(NumericalError, match="residual"):
         mmse_sinr_exact(sigs, Q, None, 1e-16)
+
+
+def test_mmse_near_duplicate_signatures_fail_residual_check_in_chip_space():
+    # U = N takes the N x N path, where Cholesky of R succeeds and only the
+    # residual catches the pair.  At sigma2 = 1e-12 the solve passes.
+    sigs = gen_spreading_codes(16, 16, np.random.default_rng(3)).astype(complex)
+    sigs[1] = sigs[0]
+    sigs[1, 0] += 1e-7
+    assert not cdma._user_space_cheaper(16, 16)
+    with pytest.raises(NumericalError, match="residual"):
+        mmse_sinr_exact(sigs, 1.0, None, 1e-16)
 
 
 def test_sinr_concentrates_across_code_draws():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from refarm import InvalidParameterError, SystemConfig, freq_response, gen_channel_set, gen_multipath_taps
+from refarm.channel import _substream_normals
 
 
 def test_single_tap_has_unit_ensemble_power():
@@ -80,6 +81,71 @@ def test_channel_stream_layout(model):
     children = np.random.default_rng(9).spawn(2)[0].spawn(cfg.cdma_users)
     for row, child in zip(channels.cdma, children, strict=True):
         np.testing.assert_array_equal(row, freq_response(gen_multipath_taps(taps, child), 32))
+
+
+def _spawned_normals(rng, n_children, size):
+    rows = [child.standard_normal(size) for child in rng.spawn(n_children)]
+    return np.stack(rows) if rows else np.empty((0, size))
+
+
+def _two_draw_taps(n_taps, rng):
+    # The per-user tap draw as first written: real parts, then imaginary.
+    scale = np.sqrt(0.5 / n_taps)
+    return scale * (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps))
+
+
+_SEEDS = [0, 42, 2**32, 2**100 + 3, [1, 2, 3], None]
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["root", "nested"])
+@pytest.mark.parametrize("seed", _SEEDS, ids=["0", "42", "2^32", "2^100+3", "list", "None"])
+def test_substream_normals_match_spawned_children(seed, nested):
+    rng = np.random.default_rng(seed)
+    if nested:
+        rng = rng.spawn(3)[2].spawn(2)[1]
+    for n_children in (0, 1, 13, 346):
+        for size in (2, 64):
+            spawned_before = rng.bit_generator.seed_seq.n_children_spawned
+            normals = _substream_normals(rng, n_children, size)
+            # The helper leaves the spawn counter alone, so spawn() now
+            # hands out the very children the helper drew from.
+            assert rng.bit_generator.seed_seq.n_children_spawned == spawned_before
+            expected = _spawned_normals(rng, n_children, size)
+            assert normals.shape == (n_children, size)
+            np.testing.assert_array_equal(normals, expected)
+
+
+def test_substream_normals_match_spawned_children_of_a_larger_pool():
+    rng = np.random.default_rng(np.random.SeedSequence(42, pool_size=8))
+    for n_children in (0, 1, 13, 346):
+        for size in (2, 64):
+            normals = _substream_normals(rng, n_children, size)
+            np.testing.assert_array_equal(normals, _spawned_normals(rng, n_children, size))
+
+
+def test_one_user_taps_match_two_draws():
+    taps = gen_multipath_taps(7, np.random.default_rng(5))
+    np.testing.assert_array_equal(taps, _two_draw_taps(7, np.random.default_rng(5)))
+
+
+@pytest.mark.parametrize("model", ["selective", "flat"])
+def test_channel_set_matches_per_user_generators(model):
+    # Both sides equal one spawned Generator per user, drawing its taps in
+    # two calls, then one stacked transform.
+    cfg = SystemConfig(n_subcarriers=64, cdma_users=13, ofdma_users=3, multipath_taps=8)
+    taps = 1 if model == "flat" else cfg.multipath_taps
+    channels = gen_channel_set(cfg, model, np.random.default_rng(11))
+    cdma_rng, ofdma_rng = np.random.default_rng(11).spawn(2)
+    for responses, side_rng in ((channels.cdma, cdma_rng), (channels.ofdma, ofdma_rng)):
+        rows = np.stack([_two_draw_taps(taps, child) for child in side_rng.spawn(len(responses))])
+        np.testing.assert_array_equal(responses, np.fft.fft(rows, n=64, axis=1))
+
+
+def test_channel_set_refuses_a_generator_it_cannot_reproduce():
+    cfg = SystemConfig(n_subcarriers=8, cdma_users=2, ofdma_users=1, multipath_taps=2)
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(InvalidParameterError, match="PCG64"):
+        gen_channel_set(cfg, "selective", rng)
 
 
 def test_channel_set_rejects_more_taps_than_subcarriers():

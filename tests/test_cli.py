@@ -247,10 +247,15 @@ def test_no_ofdma_users(tmp_path, command):
         ("[solver]\nstep_scale = 0.1\n", "step_scale"),
         ("[solver]\ndelta_init = 0.01\n", "delta_init"),
         ("[solver]\nlambda_init = 0.1\n", "lambda_init"),
+        ("[system]\nalpha = nan\n", "alpha"),
+        ("[system]\nreceive_snr_db = inf\n", "receive_snr_db"),
+        ("[system]\nnoise_power = inf\n", "noise_power"),
+        ("[sweep]\ngrid = 0.05,nan\n", "grid"),
     ],
     ids=[
         "cp_length", "bandwidth_hz", "max_iterations", "gap_tolerance",
         "step_scale", "delta_init", "lambda_init",
+        "alpha-nan", "receive_snr_db-inf", "noise_power-inf", "grid-nan",
     ],
 )
 def test_rejected_config_exits_2_naming_the_key(tmp_path, capsys, text, name):
