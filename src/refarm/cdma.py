@@ -26,6 +26,11 @@ below about U = 0.84 N (``_user_space_cheaper``).  Both check the
 relative residual of the N-space solve R Y = S: the U-space solution is
 Y = D^-1 S X, whose residual R Y - S = S (A X - I) needs no N x N
 matrix.
+
+``scipy.linalg`` is imported in one place, the Cholesky helpers
+``_cholesky`` and ``_cho_solve`` that every MMSE and symbol-level solve
+calls, so that importing refarm and running the margin or the allocation
+loads numpy alone.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .channel import ChannelSet
 from .config import SystemConfig
@@ -174,6 +178,11 @@ def _check_signatures(signatures):
     return signatures
 
 
+def _check_levels(q, sigma2):
+    if not (np.isfinite(q) and np.isfinite(sigma2)):
+        raise InvalidParameterError(f"q and sigma2 must be finite, got q={q}, sigma2={sigma2}")
+
+
 def mf_filter_output_sinr(filters, signatures, q, profile, sigma2) -> np.ndarray:
     """Output SINR of arbitrary linear filters against the received covariance.
 
@@ -182,6 +191,7 @@ def mf_filter_output_sinr(filters, signatures, q, profile, sigma2) -> np.ndarray
     signatures, the OFDMA profile and noise.  The value is a generalized
     Rayleigh quotient, hence invariant to rescaling any single filter.
     """
+    _check_levels(q, sigma2)
     signatures = _check_signatures(signatures)
     filters = np.asarray(filters)
     if filters.shape != signatures.shape:
@@ -209,18 +219,35 @@ def _received_covariance(signatures, q, prof, sigma2):
     return cov
 
 
+# The two helpers below import scipy.linalg themselves: it adds about
+# 0.25 s to every interpreter start (2-vCPU Xeon, scipy 1.17), more than
+# half of the 0.39 s `refarm margin` took, and only the MMSE and
+# symbol-level solves factor a matrix.  Their inputs are validated by
+# name beforehand and a non-finite MMSE solution fails the residual
+# check, so scipy's own finiteness scan of every operand is skipped; the
+# LAPACK calls are the same.
+
+
 def _cholesky(matrix):
+    from scipy.linalg import cho_factor
+
     try:
-        return cho_factor(matrix)
+        return cho_factor(matrix, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("MMSE system not numerically positive definite") from exc
+
+
+def _cho_solve(factor, rhs):
+    from scipy.linalg import cho_solve
+
+    return cho_solve(factor, rhs, check_finite=False)
 
 
 def _chip_space_solve(signatures, q, prof, sigma2):
     """Self-term SINRs q e_u^H R^-1 e_u and residual of the N x N solve R Y = S."""
     cov = _received_covariance(signatures, q, prof, sigma2)
     rhs = signatures.T  # columns are e_u
-    solved = cho_solve(_cholesky(cov), rhs)
+    solved = _cho_solve(_cholesky(cov), rhs)
     residual = np.linalg.norm(cov @ solved - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
     with_self = q * np.real(np.einsum("un,nu->u", signatures.conj(), solved))
     return with_self, residual
@@ -249,7 +276,7 @@ def _user_space_solve(signatures, q, prof, sigma2):
     rhs = signatures.T
     system = q * (signatures.conj() @ (rhs / (prof + sigma2)[:, None]))
     system[np.diag_indices(n_users)] += 1.0
-    inverse = cho_solve(_cholesky(system), np.eye(n_users))
+    inverse = _cho_solve(_cholesky(system), np.eye(n_users))
     defect = system @ inverse
     defect[np.diag_indices(n_users)] -= 1.0
     residual = np.linalg.norm(rhs @ defect, axis=0) / np.linalg.norm(rhs, axis=0)
@@ -266,19 +293,24 @@ def mmse_sinr_exact(signatures, q, profile, sigma2) -> SinrReport:
     Either way the solve is checked by the relative residual of the
     N-space system R Y = S, column by column against
     ``SOLVE_RESIDUAL_TOL``; the U-space path evaluates it as S (A X - I)
-    without forming R.  A failed factorization or a large residual raises
-    NumericalError.
+    without forming R.  A failed factorization, a large or non-finite
+    residual, or a system that overflows raises NumericalError.
     """
+    _check_levels(q, sigma2)
     if sigma2 <= 0:
         raise InvalidParameterError("mmse requires sigma2 > 0")
     signatures = _check_signatures(signatures)
     n_users, n = signatures.shape
     prof = profile_array(profile, n)
     solve = _user_space_solve if _user_space_cheaper(n_users, n) else _chip_space_solve
-    with_self, residual = solve(signatures, q, prof, sigma2)
-    if np.any(residual > SOLVE_RESIDUAL_TOL):
+    # Finite inputs can still overflow the system (q = 1e200 with
+    # sigma2 = 1e-200); the checks below fail closed on the inf or NaN
+    # that results, so the arithmetic need not warn on its way there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with_self, residual = solve(signatures, q, prof, sigma2)
+    if not np.all(residual <= SOLVE_RESIDUAL_TOL):
         raise NumericalError(f"linear solve residual {residual.max():.2e} above tolerance")
-    if np.any(with_self >= 1.0):
+    if not np.all(with_self < 1.0):
         raise NumericalError("self-term SINR reached 1; covariance numerically singular")
     per_user = with_self / (1.0 - with_self)
     return SinrReport(per_user=per_user, receiver="mmse", source="exact-formula")
@@ -292,8 +324,8 @@ def _exclusive_powers(allocation, n_users, n_subcarriers):
         raise InvalidParameterError(
             f"allocation shape {powers.shape} does not match ({n_users}, {n_subcarriers})"
         )
-    if np.any(powers < 0):
-        raise InvalidParameterError("allocation has negative powers")
+    if not np.all((powers >= 0) & np.isfinite(powers)):
+        raise InvalidParameterError("allocation powers must be finite and >= 0")
     if n_users and np.any(np.sum(powers > 0, axis=0) > 1):
         raise InvalidParameterError("allocation violates subcarrier exclusivity")
     return powers
@@ -322,12 +354,14 @@ def simulate_uplink_frame(
     if n_slots < 1:
         raise InvalidParameterError("need at least one slot")
     sigma2 = cfg.sigma2 if sigma2 is None else sigma2
+    _check_levels(cfg.q, sigma2)
     if sigma2 < 0 or (receiver == "mmse" and sigma2 <= 0):
         raise InvalidParameterError("noise power must be >= 0 (> 0 for mmse)")
     signatures = _check_signatures(effective_signatures(codes, channels))
     n_users, n = signatures.shape
     powers = _exclusive_powers(ofdma_alloc, channels.ofdma.shape[0], n)
     prof = np.sum(powers * channels.ofdma_gains, axis=0)
+    _check_powers(prof)
 
     half = np.sqrt(0.5)
     symbols = np.sqrt(cfg.q) * half * (
@@ -350,7 +384,7 @@ def simulate_uplink_frame(
         filters = signatures
     else:
         cov = _received_covariance(signatures, cfg.q, prof, sigma2)
-        filters = (cfg.q * cho_solve(_cholesky(cov), signatures.T)).T
+        filters = (cfg.q * _cho_solve(_cholesky(cov), signatures.T)).T
 
     outputs = filters.conj() @ received
     gain = np.einsum("un,un->u", filters.conj(), signatures)

@@ -64,18 +64,32 @@ class RunSettings:
     raw: dict = field(default_factory=dict, compare=False)
 
 
-def _parse_grid(text: str) -> tuple:
+# Each grid point is a full sweep point: one allocation solve plus
+# ``trials`` Monte Carlo trials, about a second at the defaults.  A
+# thousand points is already hours of work; a larger count is a slip in
+# the step (0:1e7:1), and counting before building the grid keeps such a
+# slip from allocating terabytes.
+MAX_GRID_POINTS = 1000
+
+
+def _parse_grid(text: str, key: str) -> tuple:
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = _finite(tuple(float(p) for p in parts), text, key)
         if step <= 0 or stop < start:
             raise ConfigError("grid range needs step > 0 and stop >= start")
+        # np.arange below yields ceil((stop - start) / step + 0.5) points.
+        if (stop - start) / step + 0.5 > MAX_GRID_POINTS:
+            raise ConfigError(f"key {key!r} has more than {MAX_GRID_POINTS} points, got {text!r}")
         values = np.arange(start, stop + 0.5 * step, step)
         return tuple(float(np.round(v, 12)) for v in values)
-    return tuple(float(p) for p in text.split(","))
+    values = tuple(float(p) for p in text.split(","))
+    if len(values) > MAX_GRID_POINTS:
+        raise ConfigError(f"key {key!r} has {len(values)} points, more than {MAX_GRID_POINTS}")
+    return values
 
 
 def _finite(value, text: str, key: str):
@@ -96,7 +110,7 @@ def _parse_value(kind: str, text: str, key: str):
         if kind == "float_list":
             return _finite(tuple(float(p) for p in text.split(",")), text, key)
         if kind == "grid":
-            return _finite(_parse_grid(text), text, key)
+            return _finite(_parse_grid(text, key), text, key)
         if kind.startswith("choice:"):
             choices = kind.split(":", 1)[1].split(",")
             if text not in choices:

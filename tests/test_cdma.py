@@ -185,6 +185,42 @@ def test_non_finite_signatures_rejected_by_name(receiver, value):
         receiver(sigs, Q, None, SIGMA2)
 
 
+# q and sigma2 as (q, sigma2); each pair holds one non-finite level.
+_NON_FINITE_LEVELS = {
+    "q-nan": (np.nan, SIGMA2),
+    "q-inf": (np.inf, SIGMA2),
+    "sigma2-nan": (Q, np.nan),
+    "sigma2-inf": (Q, np.inf),
+}
+_LEVEL_CHECKS = {
+    "mf": lambda q, s2: mf_sinr_exact(_signatures(3), q, None, s2),
+    "mf-filter": lambda q, s2: mf_filter_output_sinr(_signatures(3), _signatures(3), q, None, s2),
+    "mmse-user-space": lambda q, s2: mmse_sinr_exact(_signatures(3), q, None, s2),
+    "mmse-chip-space": lambda q, s2: mmse_sinr_exact(_signatures(8), q, None, s2),
+}
+
+
+@pytest.mark.parametrize("levels", _NON_FINITE_LEVELS.values(), ids=_NON_FINITE_LEVELS.keys())
+@pytest.mark.parametrize("check", _LEVEL_CHECKS.values(), ids=_LEVEL_CHECKS.keys())
+def test_non_finite_levels_rejected_by_name(check, levels):
+    with pytest.raises(InvalidParameterError, match="q and sigma2 must be finite"):
+        check(*levels)
+
+
+@pytest.mark.parametrize("receiver", ["mf", "mmse"])
+@pytest.mark.parametrize(
+    "q, sigma2", [(np.inf, None), (Q, np.nan), (Q, np.inf)], ids=["q-inf", "sigma2-nan", "sigma2-inf"]
+)
+def test_simulate_rejects_non_finite_levels(q, sigma2, receiver):
+    # SystemConfig refuses q = nan itself but lets q = inf through.
+    cfg = SystemConfig(n_subcarriers=8, cdma_users=2, ofdma_users=0, multipath_taps=2, q=q)
+    codes = gen_spreading_codes(2, 8, np.random.default_rng(0))
+    with pytest.raises(InvalidParameterError, match="q and sigma2 must be finite"):
+        simulate_uplink_frame(
+            cfg, codes, awgn_channels(2, 8), None, np.random.default_rng(1), receiver, 10, sigma2
+        )
+
+
 # --- linear MMSE ----------------------------------------------------------
 
 def test_mmse_single_user_equals_matched_filter():
@@ -325,6 +361,31 @@ def test_mmse_near_duplicate_signatures_fail_residual_check_in_chip_space():
         mmse_sinr_exact(sigs, 1.0, None, 1e-16)
 
 
+def test_mmse_overflowing_system_is_numerical_error():
+    # Every input is finite, but q / sigma2 = 4000 dB overflows the U x U
+    # system to inf; the solve must fail closed on the inf and NaN that
+    # follow, without a factorization that checks its operands.
+    sigs = _signatures(20, n=64)
+    assert cdma._user_space_cheaper(20, 64)
+    with pytest.raises(NumericalError):
+        mmse_sinr_exact(sigs, 1e200, None, 1e-200)
+
+
+@pytest.mark.parametrize(
+    "with_self, residual, message",
+    [(0.5, np.nan, "residual"), (np.nan, 0.0, "self-term")],
+    ids=["nan-residual", "nan-self-term"],
+)
+def test_mmse_checks_fail_closed_on_nan(with_self, residual, message, monkeypatch):
+    def nan_solve(signatures, *args):
+        n_users = signatures.shape[0]
+        return np.full(n_users, with_self), np.full(n_users, residual)
+
+    monkeypatch.setattr(cdma, "_user_space_solve", nan_solve)
+    with pytest.raises(NumericalError, match=message):
+        mmse_sinr_exact(_signatures(3), Q, None, SIGMA2)
+
+
 def test_sinr_concentrates_across_code_draws():
     # Fixed channels, codes redrawn: the user-averaged SINR fluctuates by
     # only a few percent at N=256.
@@ -409,3 +470,19 @@ def test_simulate_rejects_nonexclusive_allocation():
     bad = np.ones((2, 8))
     with pytest.raises(InvalidParameterError):
         simulate_uplink_frame(cfg, codes, channels, bad, rng)
+
+
+@pytest.mark.parametrize("broken", ["power-nan", "power-inf", "response-nan"])
+@pytest.mark.parametrize("receiver", ["mf", "mmse"])
+def test_simulate_rejects_non_finite_ofdma_side(receiver, broken):
+    cfg = SystemConfig(n_subcarriers=8, cdma_users=2, ofdma_users=2, multipath_taps=2)
+    rng = np.random.default_rng(15)
+    channels = gen_channel_set(cfg, "selective", rng)
+    codes = gen_spreading_codes(2, 8, rng)
+    powers = np.zeros((2, 8))
+    if broken == "response-nan":
+        channels.ofdma[1, 3] = np.nan
+    else:
+        powers[1, 3] = float(broken.split("-")[1])
+    with pytest.raises(InvalidParameterError, match="powers must be finite"):
+        simulate_uplink_frame(cfg, codes, channels, powers, rng, receiver, 10)

@@ -251,11 +251,16 @@ def test_no_ofdma_users(tmp_path, command):
         ("[system]\nreceive_snr_db = inf\n", "receive_snr_db"),
         ("[system]\nnoise_power = inf\n", "noise_power"),
         ("[sweep]\ngrid = 0.05,nan\n", "grid"),
+        ("[sweep]\ngrid = 0:1e12:1\n", "grid"),
+        ("[sweep]\ngrid = 0:1e7:1\n", "grid"),
+        ("[sweep]\ngrid = 0:nan:1\n", "grid"),
+        ("[sweep]\ngrid = " + ",".join(["0.1"] * 1001) + "\n", "grid"),
     ],
     ids=[
         "cp_length", "bandwidth_hz", "max_iterations", "gap_tolerance",
         "step_scale", "delta_init", "lambda_init",
         "alpha-nan", "receive_snr_db-inf", "noise_power-inf", "grid-nan",
+        "grid-1e12-points", "grid-1e7-points", "grid-range-nan", "grid-1001-values",
     ],
 )
 def test_rejected_config_exits_2_naming_the_key(tmp_path, capsys, text, name):
@@ -265,16 +270,39 @@ def test_rejected_config_exits_2_naming_the_key(tmp_path, capsys, text, name):
     assert name in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize adds about 0.4 s to every start; only the SLSQP test
-    # oracle needs it, and it imports it itself.
+def _run_python(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(refarm.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, refarm, refarm.cli; print('scipy.optimize' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.split()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about 0.4 s to every start and scipy.linalg about
+    # 0.25 s; only the SLSQP test oracle and the MMSE solves need them, and
+    # each imports its own.
+    code = (
+        "import sys, refarm, refarm.cli; "
+        "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"
+    )
+    assert _run_python(code) == ["False", "False"]
+
+
+def test_margin_and_allocate_leave_scipy_linalg_unloaded(tmp_path):
+    code = f"""
+import sys
+import numpy as np
+from refarm import mmse_sinr_exact
+from refarm.cli import main
+for command in ("margin", "allocate"):
+    assert main(["--out", {str(tmp_path)!r}, "--quiet", command]) == 0
+print("scipy.linalg" in sys.modules)
+mmse_sinr_exact(np.eye(2, 4, dtype=complex), 1.0, None, 1.0)
+print("scipy.linalg" in sys.modules)
+"""
+    assert _run_python(code) == ["False", "True"]
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
