@@ -96,15 +96,15 @@ class AllocationProblem:
         self.power_caps = np.atleast_1d(np.asarray(self.power_caps, dtype=float))
         if self.gains.ndim != 2:
             raise InvalidParameterError("gains must be a (K, N) matrix")
-        if np.any(self.gains < 0):
-            raise InvalidParameterError("gains must be >= 0")
-        if self.noise_floor <= 0:
+        if not np.all((self.gains >= 0) & np.isfinite(self.gains)):
+            raise InvalidParameterError("gains must be finite and >= 0")
+        if not self.noise_floor > 0:
             raise InvalidParameterError("noise_floor must be > 0")
-        if self.margin < 0:
+        if not self.margin >= 0:
             raise InvalidParameterError("margin must be >= 0")
         if self.power_caps.shape != (self.gains.shape[0],):
             raise InvalidParameterError("need one power cap per user")
-        if np.any(self.power_caps < 0):
+        if not np.all(self.power_caps >= 0):
             raise InvalidParameterError("power caps must be >= 0")
 
     @property
@@ -149,8 +149,8 @@ class PowerAllocation:
         """Raise unless exclusivity, caps and the margin all hold within tol."""
         if not self.is_exclusive():
             raise InvalidParameterError("allocation violates subcarrier exclusivity")
-        if np.any(self.powers < 0):
-            raise InvalidParameterError("allocation has negative powers")
+        if not np.all((self.powers >= 0) & np.isfinite(self.powers)):
+            raise InvalidParameterError("allocation powers must be finite and >= 0")
         if np.any(self.user_totals() > problem.power_caps + tol):
             raise InvalidParameterError("allocation exceeds a power cap")
         if self.mean_interference(problem.gains) > problem.margin + tol:
@@ -521,8 +521,8 @@ def solve_p2_waterfill(gains, cap, noise_floor) -> WaterfillResult:
     gains = np.asarray(gains, dtype=float)
     if cap < 0:
         raise InvalidParameterError("cap must be >= 0")
-    if np.any(gains < 0):
-        raise InvalidParameterError("gains must be >= 0")
+    if not np.all((gains >= 0) & np.isfinite(gains)):
+        raise InvalidParameterError("gains must be finite and >= 0")
     powers = np.zeros_like(gains)
     positive = gains > 0
     if cap == 0 or not np.any(positive):

@@ -21,20 +21,23 @@ G = S^H D^-1 S the Woodbury identity gives
 
 hence SINR_u = 1/[(I + q G)^-1]_uu - 1.  The MMSE kernel solves either
 this U x U system A X = I, A = I + q G, or the N x N covariance
-R = q S S^H + D directly, whichever takes fewer flops: the U x U system
-below about U = 0.84 N (``_user_space_cheaper``).  Both check the
-relative residual of the N-space solve R Y = S: the U-space solution is
-Y = D^-1 S X, whose residual R Y - S = S (A X - I) needs no N x N
-matrix.
+R = q S S^H + D directly: the U x U system below about U = 0.84 N
+(``_user_space_cheaper``).  Both check the relative residual of the
+N-space solve R Y = S: the U-space solution is Y = D^-1 S X, whose
+residual R Y - S = S (A X - I) needs no N x N matrix.
 
-``scipy.linalg`` is imported in one place, the Cholesky helpers
-``_cholesky`` and ``_cho_solve`` that every MMSE and symbol-level solve
-calls, so that importing refarm and running the margin or the allocation
-loads numpy alone.
+The U x U path runs on numpy alone.  Only the N x N path and the
+symbol-level MMSE filter use scipy, through its BLAS and LAPACK wrappers
+(``_scipy_linalg``, the one import site), so importing refarm, the
+margin, the allocation, ``validate`` and every MMSE solve below about
+0.84 N load numpy alone.  The SINR kernels write their intermediates
+into one reused buffer per thread (``_workspace_views``): per-trial
+temporaries made glibc fault pages in again on every Monte Carlo trial.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +48,36 @@ from .errors import InvalidParameterError, NumericalError
 
 SOLVE_RESIDUAL_TOL = 1e-10
 
+# Every Monte Carlo trial used to allocate and free about a dozen
+# MB-sized temporaries in the SINR kernels, and glibc gave them back to
+# the OS and faulted them in again.  A seed-42 perfbench `load_sweep`
+# pass took about 200 K minor page faults and 0.4-0.8 s of system time,
+# three quarters of the faults inside mmse_sinr_exact (ru_minflt around
+# each layer, 2-vCPU Xeon).  The kernels now write their intermediates
+# into one buffer per thread, kept between calls: a later pass takes
+# under 20 faults, and an `mc_validate` pass about 400 where it took
+# 10 K.  Per thread, because trials may run in parallel.
+_workspace = threading.local()
+
+
+def _workspace_views(*shapes):
+    """Non-overlapping F-ordered complex views of this thread's workspace.
+
+    One view per (rows, cols) shape.  The buffer grows to the largest
+    request seen and is never shrunk.  The views are overwritten by the
+    next kernel call on the same thread, so no array a kernel returns may
+    alias them.
+    """
+    sizes = [rows * cols for rows, cols in shapes]
+    buffer = getattr(_workspace, "buffer", None)
+    if buffer is None or buffer.size < sum(sizes):
+        buffer = _workspace.buffer = np.empty(sum(sizes), dtype=complex)
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buffer[start : start + size].reshape(shape, order="F"))
+        start += size
+    return views
+
 
 def gen_spreading_codes(n_users: int, n_chips: int, rng: np.random.Generator) -> np.ndarray:
     """Random antipodal spreading codes, one row per user.
@@ -54,8 +87,11 @@ def gen_spreading_codes(n_users: int, n_chips: int, rng: np.random.Generator) ->
     """
     if n_users < 0 or n_chips < 1:
         raise InvalidParameterError("need n_users >= 0 and n_chips >= 1")
-    chips = rng.integers(0, 2, size=(n_users, n_chips)) * 2 - 1
-    return chips / np.sqrt(n_chips)
+    chips = rng.integers(0, 2, size=(n_users, n_chips))
+    chips *= 2
+    chips -= 1
+    # Divided into the chips' own storage: int64 and float64 have one size.
+    return np.divide(chips, np.sqrt(n_chips), out=chips.view(float))
 
 
 def effective_signatures(codes: np.ndarray, channels: ChannelSet) -> np.ndarray:
@@ -72,8 +108,15 @@ def effective_signatures(codes: np.ndarray, channels: ChannelSet) -> np.ndarray:
         raise InvalidParameterError(
             f"channel set shape {channels.cdma.shape} does not match codes {codes.shape}"
         )
-    transformed = np.fft.fft(codes, axis=1) / np.sqrt(n)
-    return channels.cdma * transformed
+    # The transform takes complex input; casting the codes into the
+    # workspace spares it a temporary copy of its own.
+    chips = _workspace_views((n, codes.shape[0]))[0].T
+    chips[...] = codes
+    signatures = np.fft.fft(chips, axis=1)
+    signatures /= np.sqrt(n)
+    # In place, operands in the order of ``channels.cdma * signatures``:
+    # with fused multiply-adds the complex product is not commutative.
+    return np.multiply(channels.cdma, signatures, out=signatures)
 
 
 @dataclass
@@ -164,18 +207,22 @@ class SinrReport:
 
 
 def _check_signatures(signatures):
-    signatures = np.asarray(signatures)
+    """The signatures as a C-ordered complex (U, N) array, refused by name if unusable."""
+    signatures = np.ascontiguousarray(signatures, dtype=complex)
     if signatures.ndim != 2 or signatures.shape[0] < 1:
         raise InvalidParameterError("need at least one signature row")
-    # A row holding inf has a NaN norm (inf * 0 in the complex product);
-    # it is refused by name below, so that product need not warn.
-    with np.errstate(invalid="ignore"):
-        norms = np.linalg.norm(signatures, axis=1)
+    norms = _row_norms(signatures)
     if not np.all(np.isfinite(norms)):
         raise InvalidParameterError("signatures must be finite")
     if np.any(norms == 0):
         raise InvalidParameterError("degenerate user: zero-norm signature")
     return signatures
+
+
+def _row_norms(rows):
+    """2-norms of the rows of a C-ordered complex matrix, from its float view."""
+    flat = rows.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def _check_levels(q, sigma2):
@@ -196,12 +243,23 @@ def mf_filter_output_sinr(filters, signatures, q, profile, sigma2) -> np.ndarray
     filters = np.asarray(filters)
     if filters.shape != signatures.shape:
         raise InvalidParameterError("filters must match signatures in shape")
-    n = signatures.shape[1]
+    n_users, n = signatures.shape
     prof = profile_array(profile, n)
-    cross = filters.conj() @ signatures.T  # cross[u, i] = f_u^H e_i
-    desired = q * np.abs(np.diagonal(cross)) ** 2
-    mai = q * (np.sum(np.abs(cross) ** 2, axis=1) - np.abs(np.diagonal(cross)) ** 2)
-    colored = np.sum((np.abs(filters) ** 2) * (prof + sigma2)[None, :], axis=1)
+    conj_filters, cross, cross_power = _workspace_views(
+        (n, n_users), (n_users, n_users), (n_users, n_users)
+    )
+    conj_filters = np.conjugate(filters, out=conj_filters.T)
+    cross = np.matmul(conj_filters, signatures.T, out=cross.T)  # cross[u, i] = f_u^H e_i
+    # |cross|^2, then |f_u,n|^2 (profile_n + sigma^2), each in the real
+    # parts of a workspace block; conj_filters is spent by then.
+    cross_power = np.abs(cross, out=cross_power.T.real)
+    cross_power **= 2
+    desired = q * np.diagonal(cross_power)
+    mai = q * (np.sum(cross_power, axis=1) - np.diagonal(cross_power))
+    weighted = np.abs(filters, out=conj_filters.real)
+    weighted **= 2
+    weighted *= prof + sigma2
+    colored = np.sum(weighted, axis=1)
     return desired / (mai + colored)
 
 
@@ -212,58 +270,77 @@ def mf_sinr_exact(signatures, q, profile, sigma2) -> SinrReport:
     return SinrReport(per_user=per_user, receiver="mf", source="exact-formula")
 
 
-def _received_covariance(signatures, q, prof, sigma2):
+# The N x N path below uses scipy's BLAS and LAPACK wrappers, imported in
+# _scipy_linalg alone: scipy.linalg adds about 0.3 s and 21 MB to the
+# process that loads it (2-vCPU Xeon, scipy 1.17), and numpy has no
+# Hermitian rank-k update or Cholesky solve.  The U x U path and
+# everything else run on numpy.  Inputs are validated by name
+# beforehand and a non-finite solution fails the residual check, so no
+# operand is scanned for finiteness.
+
+
+def _scipy_linalg():
+    """scipy.linalg, whose ``blas`` and ``lapack`` wrappers the N x N path calls."""
+    import scipy.linalg
+
+    return scipy.linalg
+
+
+def _received_covariance(signatures, q, prof, sigma2, out=None):
+    """Lower triangle of R = q S^T S^* + diag(prof + sigma2), as an F-ordered array.
+
+    Written into ``out`` when it is an F-ordered complex (N, N) array.
+    The strict upper triangle is left unset.
+    """
     n = signatures.shape[1]
-    cov = q * (signatures.T @ signatures.conj())
+    cov = _scipy_linalg().blas.zherk(q, signatures.T, c=out, lower=1, overwrite_c=1)
     cov[np.diag_indices(n)] += prof + sigma2
     return cov
 
 
-# The two helpers below import scipy.linalg themselves: it adds about
-# 0.25 s to every interpreter start (2-vCPU Xeon, scipy 1.17), more than
-# half of the 0.39 s `refarm margin` took, and only the MMSE and
-# symbol-level solves factor a matrix.  Their inputs are validated by
-# name beforehand and a non-finite MMSE solution fails the residual
-# check, so scipy's own finiteness scan of every operand is skipped; the
-# LAPACK calls are the same.
-
-
-def _cholesky(matrix):
-    from scipy.linalg import cho_factor
-
-    try:
-        return cho_factor(matrix, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("MMSE system not numerically positive definite") from exc
+def _cholesky(cov):
+    """Lower Cholesky factor of R from ``_received_covariance``, in R's storage."""
+    factor, info = _scipy_linalg().lapack.zpotrf(cov, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise NumericalError("MMSE system not numerically positive definite")
+    return factor
 
 
 def _cho_solve(factor, rhs):
-    from scipy.linalg import cho_solve
-
-    return cho_solve(factor, rhs, check_finite=False)
+    """R^-1 rhs from ``_cholesky``'s factor, in the storage of an F-ordered rhs."""
+    solved, _ = _scipy_linalg().lapack.zpotrs(factor, rhs, lower=1, overwrite_b=1)
+    return solved
 
 
 def _chip_space_solve(signatures, q, prof, sigma2):
     """Self-term SINRs q e_u^H R^-1 e_u and residual of the N x N solve R Y = S."""
-    cov = _received_covariance(signatures, q, prof, sigma2)
+    n_users, n = signatures.shape
+    cov, factor, solved, error = _workspace_views((n, n), (n, n), (n, n_users), (n, n_users))
     rhs = signatures.T  # columns are e_u
-    solved = _cho_solve(_cholesky(cov), rhs)
-    residual = np.linalg.norm(cov @ solved - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
-    with_self = q * np.real(np.einsum("un,nu->u", signatures.conj(), solved))
+    cov = _received_covariance(signatures, q, prof, sigma2, out=cov)
+    factor[...] = cov
+    solved[...] = rhs
+    solved = _cho_solve(_cholesky(factor), solved)
+    error[...] = rhs  # becomes R Y - S
+    error = _scipy_linalg().blas.zhemm(1.0, cov, solved, beta=-1.0, c=error, lower=1, overwrite_c=1)
+    residual = _row_norms(error.T) / _row_norms(signatures)
+    # Re(e_u^H y_u) is the dot product of the two float views.
+    with_self = q * np.einsum("ij,ij->i", signatures.view(float), solved.T.view(float))
     return with_self, residual
 
 
 def _user_space_cheaper(n_users, n):
-    """Whether the U x U solve takes fewer flops than the N x N one.
+    """Whether to take the U x U solve: below about U = 0.84 N.
 
-    Counted in complex multiply-adds.  The U-space path forms G (U^2 N),
-    factors A (U^3/6), inverts it (U^3), and forms A X (U^3) and S times
-    the defect (U^2 N) for the residual.  The N-space path forms R
-    (N^2 U), factors it (N^3/6), solves for U columns (N^2 U) and forms
-    R Y (N^2 U).  The two are equal at U = 0.84 N, and the U-space path
-    never wins at U >= N.  At N = 256 with one BLAS thread the measured
-    crossover lies between U = 0.85 N and 0.88 N, where the paths differ
-    by less than 5 %.
+    The formula counts complex multiply-adds of a general product and a
+    Cholesky solve on either side.  With the present kernels the measured
+    crossover at N = 256 (one BLAS thread) lies between 0.68 N and 0.72 N,
+    and the U-space path is up to 1.5 times slower just below 0.84 N.
+    The threshold stays because the U-space residual check is the
+    stricter on ill-conditioned systems: for 3 users on 4 chips at 140 dB
+    (AWGN, 200 code draws) the N x N check passes every draw at residual
+    1e-16 with SINRs up to 1.9 % off, from cancellation in 1 - with_self,
+    while the U x U check refuses 73 draws and the rest are within 0.34 %.
     """
     u, n = float(n_users), float(n)
     return 2.0 * u * u * n + 13.0 / 6.0 * u**3 < 3.0 * n * n * u + n**3 / 6.0
@@ -272,14 +349,24 @@ def _user_space_cheaper(n_users, n):
 def _user_space_solve(signatures, q, prof, sigma2):
     """Self-term SINRs 1 - X_uu with X = A^-1, A = I + q G, and the residual
     S (A X - I) that the equivalent N-space solution Y = D^-1 S X leaves."""
-    n_users = signatures.shape[0]
-    rhs = signatures.T
-    system = q * (signatures.conj() @ (rhs / (prof + sigma2)[:, None]))
+    n_users, n = signatures.shape
+    conj_rows, scaled, system, defect, error = _workspace_views(
+        (n, n_users), (n, n_users), (n_users, n_users), (n_users, n_users), (n, n_users)
+    )
+    conj_rows = np.conjugate(signatures, out=conj_rows.T)
+    scaled = np.divide(signatures.T, (prof + sigma2)[:, None], out=scaled)
+    system = np.matmul(conj_rows, scaled, out=system.T)
+    system *= q
     system[np.diag_indices(n_users)] += 1.0
-    inverse = _cho_solve(_cholesky(system), np.eye(n_users))
-    defect = system @ inverse
+    try:
+        np.linalg.cholesky(system)  # the positive-definiteness test
+        inverse = np.linalg.inv(system)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("MMSE system not numerically positive definite") from exc
+    defect = np.matmul(system, inverse, out=defect.T)
     defect[np.diag_indices(n_users)] -= 1.0
-    residual = np.linalg.norm(rhs @ defect, axis=0) / np.linalg.norm(rhs, axis=0)
+    error = np.matmul(defect.T, signatures, out=error.T)  # rows are (S (A X - I))^T
+    residual = _row_norms(error) / _row_norms(signatures)
     return 1.0 - np.real(np.diagonal(inverse)), residual
 
 
@@ -287,9 +374,10 @@ def mmse_sinr_exact(signatures, q, profile, sigma2) -> SinrReport:
     """Exact linear-MMSE output SINR for every user at finite dimension.
 
     SINR_u = 1/[(I + q G)^-1]_uu - 1 with G = S^H D^-1 S (module
-    docstring).  Below about U = 0.84 N (``_user_space_cheaper``) one
-    Cholesky factorization of the U x U matrix I + q G gives every user;
-    otherwise one factorization of the N x N received covariance R does.
+    docstring).  Below about U = 0.84 N (``_user_space_cheaper``) the
+    inverse of the U x U matrix I + q G gives every user, after a
+    Cholesky factorization has shown it positive definite; otherwise one
+    Cholesky factorization of the N x N received covariance R does.
     Either way the solve is checked by the relative residual of the
     N-space system R Y = S, column by column against
     ``SOLVE_RESIDUAL_TOL``; the U-space path evaluates it as S (A X - I)
@@ -383,8 +471,8 @@ def simulate_uplink_frame(
     if receiver == "mf":
         filters = signatures
     else:
-        cov = _received_covariance(signatures, cfg.q, prof, sigma2)
-        filters = (cfg.q * _cho_solve(_cholesky(cov), signatures.T)).T
+        factor = _cholesky(_received_covariance(signatures, cfg.q, prof, sigma2))
+        filters = (cfg.q * _cho_solve(factor, signatures.T.copy(order="F"))).T
 
     outputs = filters.conj() @ received
     gain = np.einsum("un,un->u", filters.conj(), signatures)

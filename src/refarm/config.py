@@ -21,6 +21,7 @@ DEFAULT_TARGET_SINR_DB = 2.0
 DEFAULT_POWER_CAP_DB = 30.0
 
 RECEIVERS = ("mf", "mmse")
+_ALPHA_RANGE = "0 <= alpha < inf"
 CHANNEL_MODELS = ("selective", "flat", "awgn")
 
 
@@ -87,6 +88,9 @@ class SystemConfig:
         else:
             self.power_caps = tuple(float(c) for c in self.power_caps)
         if self.cdma_users is None:
+            # Checked before rounding, which raises OverflowError on inf.
+            if not np.isfinite(self.alpha):
+                raise InvalidParameterError(f"invariant violated: {_ALPHA_RANGE}")
             self.cdma_users = int(round(self.alpha * self.n_subcarriers))
         self.validate()
 
@@ -94,13 +98,13 @@ class SystemConfig:
         n, l = self.n_subcarriers, self.multipath_taps
         checks = [
             (n >= 1, "n_subcarriers >= 1"),
-            (self.alpha >= 0, "alpha >= 0"),
+            (0 <= self.alpha < np.inf, _ALPHA_RANGE),
             (self.cdma_users >= 0, "cdma_users >= 0"),
             (self.ofdma_users >= 0, "ofdma_users >= 0"),
             (1 <= l <= n, "1 <= multipath_taps <= n_subcarriers"),
-            (self.q > 0, "q > 0"),
-            (self.sigma2 > 0, "sigma2 > 0"),
-            (self.beta_star > 0, "beta_star > 0"),
+            (0 < self.q < np.inf, "0 < q < inf"),
+            (0 < self.sigma2 < np.inf, "0 < sigma2 < inf"),
+            (0 < self.beta_star < np.inf, "0 < beta_star < inf"),
             (len(self.power_caps) == self.ofdma_users, "one power cap per OFDMA user"),
             (all(c >= 0 for c in self.power_caps), "power caps >= 0"),
         ]

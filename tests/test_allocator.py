@@ -541,3 +541,41 @@ def test_allocation_from_powers_assignment():
     alloc = PowerAllocation.from_powers(powers)
     np.testing.assert_array_equal(alloc.assignment, [1, 0, -1])
     assert alloc.is_exclusive()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("gains", np.nan, "gains must be finite"),
+        ("gains", np.inf, "gains must be finite"),
+        ("noise_floor", np.nan, "noise_floor"),
+        ("margin", np.nan, "margin"),
+        ("power_caps", np.nan, "power caps"),
+    ],
+)
+def test_allocation_problem_refuses_nan_by_name(field, value, message):
+    fields = dict(gains=np.ones((2, 4)), noise_floor=1.0, margin=0.5, power_caps=[1.0, 1.0])
+    if field == "gains":
+        fields["gains"][1, 2] = value
+    elif field == "power_caps":
+        fields["power_caps"] = [1.0, value]
+    else:
+        fields[field] = value
+    with pytest.raises(InvalidParameterError, match=message):
+        AllocationProblem(**fields)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_waterfill_refuses_non_finite_gains_by_name(value):
+    # A NaN gain used to count as a dead subcarrier.
+    with pytest.raises(InvalidParameterError, match="gains must be finite"):
+        solve_p2_waterfill(np.array([value, 1.0, 2.0]), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_validate_refuses_non_finite_powers_by_name(value):
+    # Every comparison validate makes is false for NaN, so it used to pass.
+    problem = AllocationProblem(np.ones((2, 4)), 1.0, 0.5, [np.inf, np.inf])
+    alloc = PowerAllocation.from_powers([[value, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(InvalidParameterError, match="allocation powers must be finite"):
+        alloc.validate(problem)

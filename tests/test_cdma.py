@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,8 @@ from refarm import (
     simulate_uplink_frame,
 )
 from refarm import cdma
-from refarm.cdma import _received_covariance, mf_filter_output_sinr
+from refarm.cdma import mf_filter_output_sinr
+from refarm.experiments import empirical_cdma_sinr
 
 Q = 100.0
 SIGMA2 = 1.0
@@ -212,8 +216,9 @@ def test_non_finite_levels_rejected_by_name(check, levels):
     "q, sigma2", [(np.inf, None), (Q, np.nan), (Q, np.inf)], ids=["q-inf", "sigma2-nan", "sigma2-inf"]
 )
 def test_simulate_rejects_non_finite_levels(q, sigma2, receiver):
-    # SystemConfig refuses q = nan itself but lets q = inf through.
-    cfg = SystemConfig(n_subcarriers=8, cdma_users=2, ofdma_users=0, multipath_taps=2, q=q)
+    # SystemConfig refuses a non-finite q itself; this one is set past its check.
+    cfg = SystemConfig(n_subcarriers=8, cdma_users=2, ofdma_users=0, multipath_taps=2)
+    cfg.q = q
     codes = gen_spreading_codes(2, 8, np.random.default_rng(0))
     with pytest.raises(InvalidParameterError, match="q and sigma2 must be finite"):
         simulate_uplink_frame(
@@ -296,8 +301,10 @@ def test_more_interference_never_helps():
 
 
 def _chip_space_reference(sigs, q, prof, sigma2):
-    # The MMSE SINR straight from the N x N received covariance.
-    solved = np.linalg.solve(_received_covariance(sigs, q, prof, sigma2), sigs.T)
+    # The MMSE SINR straight from the N x N received covariance, built
+    # here in full: the kernel's builder fills only its lower triangle.
+    cov = q * (sigs.T @ sigs.conj()) + np.diag(prof + sigma2)
+    solved = np.linalg.solve(cov, sigs.T)
     with_self = q * np.real(np.einsum("un,nu->u", sigs.conj(), solved))
     return with_self / (1.0 - with_self)
 
@@ -320,6 +327,80 @@ def test_mmse_matches_chip_space_reference(n_users, monkeypatch):
     np.testing.assert_allclose(
         report.per_user, _chip_space_reference(sigs, Q, prof, SIGMA2), rtol=1e-10
     )
+
+
+@pytest.mark.parametrize("n_users", [51, 179, 218, 397])
+def test_mmse_matches_chip_space_reference_at_n_256(n_users):
+    # The benchmark's band width: U = 51 and 179 take the U x U path,
+    # U = 218 and 397 the N x N one.
+    n = 256
+    sigs, profile = _random_instance(n_users, n=n, n_users=n_users, taps=32)
+    prof = profile.per_subcarrier
+    report = mmse_sinr_exact(sigs, Q, profile, SIGMA2)
+    np.testing.assert_allclose(
+        report.per_user, _chip_space_reference(sigs, Q, prof, SIGMA2), rtol=1e-10
+    )
+
+
+def _kernel_results(n_users, n, seed):
+    sigs, profile = _random_instance(seed, n=n, n_users=n_users, taps=4)
+    codes = gen_spreading_codes(n_users, n, np.random.default_rng(seed))
+    return [
+        sigs,
+        effective_signatures(codes, awgn_channels(n_users, n)),
+        mf_sinr_exact(sigs, Q, profile, SIGMA2).per_user,
+        mf_filter_output_sinr(2.0 * sigs, sigs, Q, profile, SIGMA2),
+        mmse_sinr_exact(sigs, Q, profile, SIGMA2).per_user,
+    ]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [((40, 32), (40, 32)), ((5, 32), (40, 32)), ((40, 32), (5, 32)), ((30, 32), (90, 64))],
+)
+def test_kernel_results_do_not_alias_the_workspace(first, second):
+    # The kernels share one workspace per thread; a later call, of the same
+    # shape on other data or of another shape and path, must leave earlier
+    # results as they were.
+    kept = _kernel_results(*first, seed=1)
+    copies = [value.copy() for value in kept]
+    _kernel_results(*second, seed=2)
+    for value, copy in zip(kept, copies):
+        np.testing.assert_array_equal(value, copy)
+
+
+def test_threads_reproduce_a_serial_monte_carlo_run():
+    # Four threads at two loads (U x U and N x N MMSE paths) run their
+    # trials interleaved; each must match its serial run bit for bit.
+    base = SystemConfig(n_subcarriers=64, ofdma_users=0, multipath_taps=8)
+    cases = [(base.replace(cdma_users=u), rx) for u in (12, 60) for rx in ("mf", "mmse")]
+    profile = InterferenceProfile(np.linspace(0.0, 3.0, 64))
+
+    def run(cfg, receiver):
+        rng = np.random.default_rng(cfg.cdma_users)
+        return empirical_cdma_sinr(cfg, profile, receiver, "selective", 40, rng)[2]
+
+    serial = [run(*case) for case in cases]
+    threaded = [None] * len(cases)
+    barrier = threading.Barrier(len(cases), timeout=60)
+
+    def worker(i):
+        barrier.wait()
+        threaded[i] = run(*cases[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for a, b in zip(serial, threaded):
+        np.testing.assert_array_equal(a, b)
 
 
 def _identical_rows(n_users, n=8):

@@ -3,10 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import refarm
-from refarm import ConfigError, db_to_linear
+from refarm import ConfigError, InvalidParameterError, SystemConfig, db_to_linear
 from refarm.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from refarm.cli_io import DEFAULT_GRIDS, emit_csv, format_value, parse_config
 
@@ -63,6 +64,15 @@ def test_unknown_section(tmp_path):
 def test_invariant_violation_is_named():
     with pytest.raises(ConfigError, match="multipath"):
         parse_config(None, ["multipath=512"])
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("key", ["alpha", "q", "sigma2", "beta_star"])
+def test_system_config_refuses_non_finite_levels_by_name(key, value):
+    # Library callers do not pass the CLI's own checks; alpha = inf used to
+    # escape as an OverflowError from rounding the user count.
+    with pytest.raises(InvalidParameterError, match=f"invariant violated: .*{key}"):
+        SystemConfig(**{key: value})
 
 
 def test_grid_parsing_forms():
@@ -299,10 +309,24 @@ from refarm.cli import main
 for command in ("margin", "allocate"):
     assert main(["--out", {str(tmp_path)!r}, "--quiet", command]) == 0
 print("scipy.linalg" in sys.modules)
-mmse_sinr_exact(np.eye(2, 4, dtype=complex), 1.0, None, 1.0)
+mmse_sinr_exact(np.eye(2, 4, dtype=complex), 1.0, None, 1.0)  # U x U path
+print("scipy.linalg" in sys.modules)
+mmse_sinr_exact(np.eye(4, dtype=complex), 1.0, None, 1.0)  # N x N path
 print("scipy.linalg" in sys.modules)
 """
-    assert _run_python(code) == ["False", "True"]
+    assert _run_python(code) == ["False", "False", "True"]
+
+
+def test_validate_at_defaults_leaves_scipy_linalg_unloaded(tmp_path):
+    # At the default load (U = 51 of N = 256) every MMSE solve takes the
+    # numpy-only U x U path.
+    code = f"""
+import sys
+from refarm.cli import main
+assert main(["--out", {str(tmp_path)!r}, "--quiet", "--trials", "100", "validate"]) == 0
+print("scipy.linalg" in sys.modules)
+"""
+    assert _run_python(code) == ["False"]
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
