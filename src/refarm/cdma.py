@@ -265,7 +265,6 @@ def mf_filter_output_sinr(filters, signatures, q, profile, sigma2) -> np.ndarray
 
 def mf_sinr_exact(signatures, q, profile, sigma2) -> SinrReport:
     """Exact matched-filter SINR for every user at finite dimension."""
-    signatures = _check_signatures(signatures)
     per_user = mf_filter_output_sinr(signatures, signatures, q, profile, sigma2)
     return SinrReport(per_user=per_user, receiver="mf", source="exact-formula")
 

@@ -10,14 +10,18 @@ the exact Parseval identity
 
 Every user draws its 2L standard normals (real parts, then imaginary
 parts) from its own substream: the child that ``rng.spawn`` would give it.
-Spawning one Generator per user dominates the cost of a channel set, so
-``_substream_normals`` seeds each child's PCG64 directly from NumPy's
-documented SeedSequence hash (NEP 19) and PCG64 seeding, which reproduces
-the ``rng.spawn`` streams bit for bit.
+Spawning one SeedSequence per user dominates the cost of a channel set,
+so ``_substream_normals`` splits the seeding of the children.  NumPy gives
+the pool that all children share (the parent's ``SeedSequence.pool``) and
+seeds each child's PCG64 through the ``ISeedSequence`` interface; refarm
+hashes only each child's spawn index into that pool, as NumPy's
+documented SeedSequence hash does (NEP 19).  The streams are the
+``rng.spawn`` ones bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,66 +47,37 @@ _STATE_HASH = np.array(
     [_HASH_INIT_B * pow(_HASH_MULT_B, k, 1 << 32) & _MASK32 for k in range(_SEED_WORDS + 1)],
     dtype=np.uint32,
 )
-# PCG_DEFAULT_MULTIPLIER_128 of the 128-bit LCG, from numpy's pcg64.h.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
-def _uint32_words(value) -> list:
-    """SeedSequence's uint32 words of an int or nested int sequence.
+def _word_count(value) -> int:
+    """How many uint32 words SeedSequence makes of an int or nested int sequence.
 
-    An int gives its words least significant first, and 0 gives one zero
-    word; a sequence gives its items' words in order.
+    An int takes as many words as its bits need, and 0 takes one.
     """
     if isinstance(value, (int, np.integer)):
-        value = int(value)
-        words = [value & _MASK32]
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-        return words
+        return max(1, -(-int(value).bit_length() // 32))
     if isinstance(value, (list, tuple, range, np.ndarray)):
-        return [word for item in value for word in _uint32_words(item)]
+        return sum(_word_count(item) for item in value)
     raise InvalidParameterError(f"cannot reproduce SeedSequence entropy {value!r}")
 
 
-def _hashmix(value, const):
-    """SeedSequence's hashmix: the hashed word and the next hash constant."""
-    next_const = (const * _HASH_MULT_A) & _MASK32
-    value = ((value ^ const) * next_const) & _MASK32
-    return value ^ (value >> _XSHIFT), next_const
+@functools.cache
+def _child_seed_type():
+    """An ISeedSequence that hands PCG64 one child's ``generate_state(4, np.uint64)`` words.
 
-
-def _mix(x, y):
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return value ^ (value >> _XSHIFT)
-
-
-def _child_pool_prefix(seq):
-    """A child's SeedSequence pool before its spawn index is mixed in.
-
-    A child's entropy is ``seq``'s entropy words zero-padded to the pool
-    size, then ``seq.spawn_key``'s words, then the child's index, so every
-    hash step of ``mix_entropy`` but the last pool_size ones is shared by
-    all children.  Returns that shared pool and the next hash constant.
+    Built at first use: subclassing ISeedSequence loads numpy.random,
+    which adds 11-15 ms to ``import refarm`` (2-vCPU Xeon, numpy 2.4),
+    and ``margin`` never draws.
     """
-    size = seq.pool_size
-    run = _uint32_words(seq.entropy)
-    entropy = run + [0] * (size - len(run)) + _uint32_words(seq.spawn_key)
-    pool, const = [], _HASH_INIT_A
-    for word in entropy[:size]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in entropy[size:]:
-        for dst in range(size):
-            hashed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], hashed)
-    return pool, const
+
+    class ChildSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return ChildSeed
 
 
 def _substream_normals(rng: np.random.Generator, n_children: int, size: int) -> np.ndarray:
@@ -110,53 +85,46 @@ def _substream_normals(rng: np.random.Generator, n_children: int, size: int) -> 
 
     Returns an (n_children, size) array equal bit for bit to
     ``np.stack([c.standard_normal(size) for c in rng.spawn(n_children)])``,
-    without building a Generator per child: every child's SeedSequence
-    pool and ``generate_state(4, np.uint64)`` words are hashed in one
-    vectorized pass, each child's PCG64 state follows from them as in
-    ``pcg_setseq_128_srandom_r``, and one Generator draws every row.
-    ``SeedSequence.n_children_spawned`` is read-only, so unlike
-    ``rng.spawn`` this does not advance it: a later ``rng.spawn`` returns
-    these same children again.  Raises InvalidParameterError unless
-    ``rng`` is backed by PCG64 seeded from a SeedSequence.
+    without building a SeedSequence per child.  Every child's entropy is
+    the parent's, zero-padded to the pool size, with its spawn index
+    appended, and ``mix_entropy`` hashes missing pool words as zeros; so
+    the parent's own ``seq.pool`` is every child's pool before the index
+    word is mixed in.  Only that last mix and the ``generate_state`` hash
+    are done here, for all children in one vectorized pass; NumPy seeds
+    each child's PCG64 from the hashed words.  ``n_children_spawned`` is
+    read-only, so unlike ``rng.spawn`` this does not advance it: a later
+    ``rng.spawn`` returns these same children again.  Raises
+    InvalidParameterError unless ``rng`` is backed by PCG64 seeded from a
+    SeedSequence.
     """
     seq = rng.bit_generator.seed_seq
     if type(rng.bit_generator) is not np.random.PCG64 or type(seq) is not np.random.SeedSequence:
         raise InvalidParameterError(
             "user substreams need a PCG64 generator seeded from a SeedSequence"
         )
-    # The spawn index is the last entropy word, hashed into every pool word.
-    prefix, const = _child_pool_prefix(seq)
-    consts = [const]
-    for _ in prefix:
-        consts.append((consts[-1] * _HASH_MULT_A) & _MASK32)
-    consts = np.array(consts, dtype=np.uint32)
+    # mix_entropy takes pool_size hash steps per word of the parent's
+    # zero-padded entropy, so the index word's hash constants start after
+    # pool_size * n_words steps.  The index is hashmix-ed and mixed into
+    # each pool word in turn.
+    n_words = max(_word_count(seq.entropy), seq.pool_size) + _word_count(seq.spawn_key)
+    steps = range(seq.pool_size * n_words, seq.pool_size * (n_words + 1) + 1)
+    consts = np.array(
+        [_HASH_INIT_A * pow(_HASH_MULT_A, k, 1 << 32) & _MASK32 for k in steps], dtype=np.uint32
+    )
     index = np.arange(seq.n_children_spawned, seq.n_children_spawned + n_children, dtype=np.uint32)
     hashed = (index[:, None] ^ consts[:-1]) * consts[1:]
     hashed ^= hashed >> _XSHIFT
-    pool = np.array([(_MIX_MULT_L * word) & _MASK32 for word in prefix], dtype=np.uint32)
-    pool = pool - _MIX_MULT_R * hashed
+    pool = seq.pool * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
     pool ^= pool >> _XSHIFT
     # generate_state cycles through the pool, hashing one word at a time,
     # and pairs the words little-endian into uint64s.
-    words = (pool[:, np.arange(_SEED_WORDS) % len(prefix)] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+    words = (pool[:, np.arange(_SEED_WORDS) % seq.pool_size] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
     words ^= words >> _XSHIFT
-    seeds = words.astype("<u4", order="C").view("<u8").tolist()
-    bit_generator = np.random.PCG64(0)  # state replaced for every child
-    generator = np.random.Generator(bit_generator)
+    seeds = words.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    child_seed = _child_seed_type()
     normals = np.empty((n_children, size))
-    # pcg_setseq_128_srandom_r: inc = (initseq << 1) | 1, and two LCG steps
-    # from state 0 with initstate added between them.  Seed words 0-1 are
-    # initstate and words 2-3 initseq, each (high, low).
-    for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(normals, seeds):
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        generator.standard_normal(out=row)
+    for row, seed in zip(normals, seeds):
+        np.random.Generator(np.random.PCG64(child_seed(seed))).standard_normal(out=row)
     return normals
 
 

@@ -65,7 +65,9 @@ def _build_parser():
         metavar="KEY=VALUE",
         help="override a config key (repeatable); bare or section-qualified names",
     )
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per grid point")
+    parser.add_argument(
+        "--trials", type=int, help="Monte Carlo trials per grid point, as a last --set sweep.trials=N"
+    )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("margin", "allocate", "sweep-load", "sweep-snr", "validate"):
@@ -110,7 +112,7 @@ def _cmd_sweep(settings, args, out):
         grid=np.asarray(grid),
         receiver=settings.receiver,
         base=settings.system,
-        trials=args.trials or settings.trials,
+        trials=settings.trials,
         seed=args.seed,
         channel_model=settings.channel_model,
         solver=settings.solver,
@@ -130,11 +132,7 @@ def _cmd_regime(settings, args, out):
 
 
 def _cmd_validate(settings, args, out):
-    rows = run_sinr_validation(
-        settings.system,
-        trials=args.trials or settings.trials,
-        seed=args.seed,
-    )
+    rows = run_sinr_validation(settings.system, trials=settings.trials, seed=args.seed)
     path = out / "validation.csv"
     cli_io.emit_csv(rows, VALIDATION_COLUMNS, path)
     return [path]
@@ -153,6 +151,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # --trials is the last override, so it wins and is recorded in
+    # resolved_config.ini like any other key.
+    if args.trials is not None:
+        args.overrides.append(f"sweep.trials={args.trials}")
     try:
         settings = cli_io.parse_config(args.config, args.overrides)
         out = Path(args.out)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -94,13 +96,27 @@ def _two_draw_taps(n_taps, rng):
     return scale * (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps))
 
 
-_SEEDS = [0, 42, 2**32, 2**100 + 3, [1, 2, 3], None]
+_SEEDS = {
+    "0": 0,
+    "42": 42,
+    "2^32": 2**32,
+    "2^100+3": 2**100 + 3,
+    "list": [1, 2, 3],
+    "None": None,
+    # More run entropy words than pool words.
+    "list-longer-than-pool": [1, 2, 3, 4, 5, 6],
+    "spawn-key-2^40": np.random.SeedSequence(7, spawn_key=(2**40, 3)),
+    "int64-array": np.array([5, 2**40, 0], dtype=np.int64),
+    "uint32-array": np.array([2**32 - 1, 0, 7, 8, 9], dtype=np.uint32),
+    "pool-8-spawn-key": np.random.SeedSequence(42, pool_size=8, spawn_key=(5,)),
+}
 
 
 @pytest.mark.parametrize("nested", [False, True], ids=["root", "nested"])
-@pytest.mark.parametrize("seed", _SEEDS, ids=["0", "42", "2^32", "2^100+3", "list", "None"])
+@pytest.mark.parametrize("seed", _SEEDS.values(), ids=_SEEDS.keys())
 def test_substream_normals_match_spawned_children(seed, nested):
-    rng = np.random.default_rng(seed)
+    # A SeedSequence seed is copied, as spawning advances its counter.
+    rng = np.random.default_rng(copy.deepcopy(seed))
     if nested:
         rng = rng.spawn(3)[2].spawn(2)[1]
     for n_children in (0, 1, 13, 346):

@@ -189,6 +189,24 @@ def test_sweep_load_command_deterministic(tmp_path):
     assert header.split(",")[0] == "alpha"
 
 
+@pytest.mark.parametrize("command", ["sweep-load", "sweep-snr", "validate"])
+def test_trials_flag_below_one_exits_2_naming_trials(tmp_path, capsys, command):
+    assert main(["--out", str(tmp_path), "--trials", "0", command]) == EXIT_CONFIG
+    assert "trials" in capsys.readouterr().err
+
+
+def test_trials_flag_is_recorded_in_the_resolved_config(tmp_path):
+    # --trials wins over the configured count, and resolved_config.ini
+    # records it, so rerunning from that file reproduces the CSV.
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    args = ["--quiet", *TINY, "--set", "sweep.grid=0.1,0.3", "--set", "sweep.trials=7"]
+    assert main(["--out", str(first), *args, "--trials", "3", "sweep-load"]) == EXIT_OK
+    config = first / "resolved_config.ini"
+    assert "trials = 3" in config.read_text().splitlines()
+    assert main(["--out", str(rerun), "--quiet", "--config", str(config), "sweep-load"]) == EXIT_OK
+    assert (rerun / "sweep_load.csv").read_bytes() == (first / "sweep_load.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "command, csv, parameter, other",
     [("sweep-load", "sweep_load.csv", "alpha", "receive_snr_db"),
@@ -292,12 +310,14 @@ def _run_python(code):
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize adds about 0.4 s to every start and scipy.linalg about
     # 0.25 s; only the SLSQP test oracle and the MMSE solves need them, and
-    # each imports its own.
+    # each imports its own.  numpy.random (11-15 ms) loads at the first
+    # draw.
     code = (
         "import sys, refarm, refarm.cli; "
-        "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"
+        "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules, "
+        "'numpy.random' in sys.modules)"
     )
-    assert _run_python(code) == ["False", "False"]
+    assert _run_python(code) == ["False", "False", "False"]
 
 
 def test_margin_and_allocate_leave_scipy_linalg_unloaded(tmp_path):
