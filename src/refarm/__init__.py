@@ -2,11 +2,12 @@
 interference margin.
 
 Subpackages by role: ``channel`` (multipath realizations), ``cdma``
-(codes, signatures, exact receiver SINR, symbol-level oracle),
-``asymptotics`` (large-system SINR limits, loads, margins), ``allocator``
-(dual-decomposition resource allocation plus the water-filling and
-channel-inverse special cases), ``experiments`` (sweep/trace/validation
-drivers), ``cli`` / ``cli_io`` (front end and serialization).
+(codes, signatures, exact receiver SINR), ``asymptotics`` (large-system
+SINR limits, loads, margins), ``allocator`` (dual-decomposition resource
+allocation plus the water-filling and channel-inverse special cases),
+``experiments`` (sweep, trace and validation runs), ``cli`` / ``cli_io``
+(front end and serialization).  The brute-force allocation oracle and
+the symbol-level SINR simulation that check these live with the tests.
 """
 
 from .allocator import (
@@ -14,7 +15,6 @@ from .allocator import (
     DualState,
     PowerAllocation,
     SolverOptions,
-    brute_force_oracle,
     solve_p1,
     solve_p2_waterfill,
     solve_p3_channel_inverse,
@@ -38,7 +38,6 @@ from .cdma import (
     gen_spreading_codes,
     mf_sinr_exact,
     mmse_sinr_exact,
-    simulate_uplink_frame,
 )
 from .channel import ChannelSet, freq_response, gen_channel_set, gen_multipath_taps
 from .config import SystemConfig, db_to_linear, linear_to_db
@@ -61,7 +60,6 @@ __all__ = [
     "SinrReport",
     "SolverOptions",
     "SystemConfig",
-    "brute_force_oracle",
     "db_to_linear",
     "effective_signatures",
     "freq_response",
@@ -78,7 +76,6 @@ __all__ = [
     "mmse_fixed_point_uniform",
     "mmse_sinr_exact",
     "proposition1_check",
-    "simulate_uplink_frame",
     "solve_p1",
     "solve_p2_waterfill",
     "solve_p3_channel_inverse",

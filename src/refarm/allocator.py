@@ -566,70 +566,3 @@ def solve_p3_channel_inverse(problem: AllocationProblem) -> ChannelInverseResult
         powers[owner, cols] = received / best_gain[cols]
         rate = n_active * np.log2(1.0 + received / problem.noise_floor)
     return ChannelInverseResult(PowerAllocation.from_powers(powers), float(rate), n - n_active)
-
-
-BRUTE_FORCE_MAX_SUBCARRIERS = 6
-BRUTE_FORCE_MAX_USERS = 2
-
-
-def brute_force_oracle(problem: AllocationProblem):
-    """Ground-truth solve for tiny instances by exhaustive assignment search.
-
-    Enumerates every exclusive assignment and optimizes the remaining
-    concave power problem with a general-purpose constrained solver
-    (SLSQP), independent of the dual-decomposition machinery.  Refuses
-    instances beyond N=6 subcarriers or K=2 users.
-    """
-    # Imported here: scipy.optimize adds about 0.4 s to every interpreter
-    # start, and nothing else in refarm needs it.
-    from scipy.optimize import minimize
-
-    n_users, n = problem.n_users, problem.n_subcarriers
-    if n > BRUTE_FORCE_MAX_SUBCARRIERS or n_users > BRUTE_FORCE_MAX_USERS:
-        raise InvalidParameterError("brute force limited to N <= 6, K <= 2")
-    if n_users == 0:
-        return PowerAllocation.from_powers(np.zeros((0, n))), 0.0
-    floor, margin = problem.noise_floor, problem.margin
-    best_value, best_assignment, best_powers = -np.inf, None, None
-    for combo in itertools.product(range(n_users), repeat=n):
-        owner = np.asarray(combo)
-        gains = problem.gains[owner, np.arange(n)]
-
-        def negative_rate(p, g=gains):
-            return -np.sum(np.log2(1.0 + p * g / floor))
-
-        def negative_rate_grad(p, g=gains):
-            return -(g / floor) / (1.0 + p * g / floor) / LN2
-
-        constraints = [
-            {
-                "type": "ineq",
-                "fun": lambda p, g=gains: margin - np.sum(p * g) / n,
-                "jac": lambda p, g=gains: -g / n,
-            }
-        ]
-        for k in range(n_users):
-            mask = (owner == k).astype(float)
-            constraints.append(
-                {
-                    "type": "ineq",
-                    "fun": lambda p, m=mask, k=k: problem.power_caps[k] - np.sum(p * m),
-                    "jac": lambda p, m=mask: -m,
-                }
-            )
-        result = minimize(
-            negative_rate,
-            np.zeros(n),
-            jac=negative_rate_grad,
-            bounds=[(0.0, None)] * n,
-            constraints=constraints,
-            method="SLSQP",
-            options={"maxiter": 300, "ftol": 1e-12},
-        )
-        if -result.fun > best_value:
-            best_value = -result.fun
-            best_assignment = owner
-            best_powers = np.maximum(result.x, 0.0)
-    powers = np.zeros((n_users, n))
-    powers[best_assignment, np.arange(n)] = best_powers
-    return PowerAllocation.from_powers(powers), float(best_value)

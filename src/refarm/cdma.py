@@ -26,13 +26,13 @@ R = q S S^H + D directly: the U x U system below about U = 0.84 N
 N-space solve R Y = S: the U-space solution is Y = D^-1 S X, whose
 residual R Y - S = S (A X - I) needs no N x N matrix.
 
-The U x U path runs on numpy alone.  Only the N x N path and the
-symbol-level MMSE filter use scipy, through its BLAS and LAPACK wrappers
-(``_scipy_linalg``, the one import site), so importing refarm, the
-margin, the allocation, ``validate`` and every MMSE solve below about
-0.84 N load numpy alone.  The SINR kernels write their intermediates
-into one reused buffer per thread (``_workspace_views``): per-trial
-temporaries made glibc fault pages in again on every Monte Carlo trial.
+The U x U path runs on numpy alone.  Only the N x N path uses scipy,
+through its BLAS and LAPACK wrappers (``_scipy_linalg``, the one import
+site), so importing refarm, the margin, the allocation, ``validate`` and
+every MMSE solve below about 0.84 N load numpy alone.  The SINR kernels
+write their intermediates into one reused buffer per thread
+(``_workspace_views``): per-trial temporaries made glibc fault pages in
+again on every Monte Carlo trial.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .config import SystemConfig
 from .errors import InvalidParameterError, NumericalError
 
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -184,19 +183,10 @@ def profile_array(profile, n_subcarriers: int | None = None) -> np.ndarray:
 
 @dataclass
 class SinrReport:
-    """Per-user SINR values plus how they were obtained.
-
-    ``source`` is one of ``exact-formula``, ``symbol-level`` or
-    ``asymptotic``.  Symbol-level reports carry the per-user standard
-    error of the estimate and the raw measured signal/residual powers.
-    """
+    """Exact per-user SINR values of one receiver."""
 
     per_user: np.ndarray
     receiver: str
-    source: str
-    stderr: np.ndarray | None = None
-    desired_power: np.ndarray | None = None
-    residual_power: np.ndarray | None = None
 
     def __post_init__(self):
         self.per_user = np.asarray(self.per_user, dtype=float)
@@ -207,7 +197,10 @@ class SinrReport:
 
 
 def _check_signatures(signatures):
-    """The signatures as a C-ordered complex (U, N) array, refused by name if unusable."""
+    """The signatures as a C-ordered complex (U, N) array and their row norms.
+
+    Refused by name if unusable.
+    """
     signatures = np.ascontiguousarray(signatures, dtype=complex)
     if signatures.ndim != 2 or signatures.shape[0] < 1:
         raise InvalidParameterError("need at least one signature row")
@@ -216,7 +209,7 @@ def _check_signatures(signatures):
         raise InvalidParameterError("signatures must be finite")
     if np.any(norms == 0):
         raise InvalidParameterError("degenerate user: zero-norm signature")
-    return signatures
+    return signatures, norms
 
 
 def _row_norms(rows):
@@ -239,7 +232,7 @@ def mf_filter_output_sinr(filters, signatures, q, profile, sigma2) -> np.ndarray
     Rayleigh quotient, hence invariant to rescaling any single filter.
     """
     _check_levels(q, sigma2)
-    signatures = _check_signatures(signatures)
+    signatures, _ = _check_signatures(signatures)
     filters = np.asarray(filters)
     if filters.shape != signatures.shape:
         raise InvalidParameterError("filters must match signatures in shape")
@@ -266,16 +259,16 @@ def mf_filter_output_sinr(filters, signatures, q, profile, sigma2) -> np.ndarray
 def mf_sinr_exact(signatures, q, profile, sigma2) -> SinrReport:
     """Exact matched-filter SINR for every user at finite dimension."""
     per_user = mf_filter_output_sinr(signatures, signatures, q, profile, sigma2)
-    return SinrReport(per_user=per_user, receiver="mf", source="exact-formula")
+    return SinrReport(per_user=per_user, receiver="mf")
 
 
-# The N x N path below uses scipy's BLAS and LAPACK wrappers, imported in
-# _scipy_linalg alone: scipy.linalg adds about 0.3 s and 21 MB to the
-# process that loads it (2-vCPU Xeon, scipy 1.17), and numpy has no
-# Hermitian rank-k update or Cholesky solve.  The U x U path and
-# everything else run on numpy.  Inputs are validated by name
-# beforehand and a non-finite solution fails the residual check, so no
-# operand is scanned for finiteness.
+# The N x N path below is the one user of scipy in refarm.  It calls
+# scipy's BLAS and LAPACK wrappers, imported in _scipy_linalg alone:
+# scipy.linalg adds about 0.3 s and 21 MB to the process that loads it
+# (2-vCPU Xeon, scipy 1.17), and numpy has no Hermitian rank-k update or
+# Cholesky solve.  The U x U path and everything else run on numpy.
+# Inputs are validated by name beforehand and a non-finite solution fails
+# the residual check, so no operand is scanned for finiteness.
 
 
 def _scipy_linalg():
@@ -285,47 +278,29 @@ def _scipy_linalg():
     return scipy.linalg
 
 
-def _received_covariance(signatures, q, prof, sigma2, out=None):
-    """Lower triangle of R = q S^T S^* + diag(prof + sigma2), as an F-ordered array.
-
-    Written into ``out`` when it is an F-ordered complex (N, N) array.
-    The strict upper triangle is left unset.
-    """
-    n = signatures.shape[1]
-    cov = _scipy_linalg().blas.zherk(q, signatures.T, c=out, lower=1, overwrite_c=1)
-    cov[np.diag_indices(n)] += prof + sigma2
-    return cov
-
-
-def _cholesky(cov):
-    """Lower Cholesky factor of R from ``_received_covariance``, in R's storage."""
-    factor, info = _scipy_linalg().lapack.zpotrf(cov, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        raise NumericalError("MMSE system not numerically positive definite")
-    return factor
-
-
-def _cho_solve(factor, rhs):
-    """R^-1 rhs from ``_cholesky``'s factor, in the storage of an F-ordered rhs."""
-    solved, _ = _scipy_linalg().lapack.zpotrs(factor, rhs, lower=1, overwrite_b=1)
-    return solved
-
-
 def _chip_space_solve(signatures, q, prof, sigma2):
-    """Self-term SINRs q e_u^H R^-1 e_u and residual of the N x N solve R Y = S."""
+    """Self-term SINRs q e_u^H R^-1 e_u and the column norms of R Y - S.
+
+    R = q S S^H + diag(prof + sigma2) is built, factored and applied in
+    its lower triangle only; Y solves R Y = S.
+    """
+    linalg = _scipy_linalg()
     n_users, n = signatures.shape
     cov, factor, solved, error = _workspace_views((n, n), (n, n), (n, n_users), (n, n_users))
     rhs = signatures.T  # columns are e_u
-    cov = _received_covariance(signatures, q, prof, sigma2, out=cov)
+    cov = linalg.blas.zherk(q, rhs, c=cov, lower=1, overwrite_c=1)
+    cov[np.diag_indices(n)] += prof + sigma2
     factor[...] = cov
+    factor, info = linalg.lapack.zpotrf(factor, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise NumericalError("MMSE system not numerically positive definite")
     solved[...] = rhs
-    solved = _cho_solve(_cholesky(factor), solved)
+    solved, _ = linalg.lapack.zpotrs(factor, solved, lower=1, overwrite_b=1)
     error[...] = rhs  # becomes R Y - S
-    error = _scipy_linalg().blas.zhemm(1.0, cov, solved, beta=-1.0, c=error, lower=1, overwrite_c=1)
-    residual = _row_norms(error.T) / _row_norms(signatures)
+    error = linalg.blas.zhemm(1.0, cov, solved, beta=-1.0, c=error, lower=1, overwrite_c=1)
     # Re(e_u^H y_u) is the dot product of the two float views.
     with_self = q * np.einsum("ij,ij->i", signatures.view(float), solved.T.view(float))
-    return with_self, residual
+    return with_self, _row_norms(error.T)
 
 
 def _user_space_cheaper(n_users, n):
@@ -346,8 +321,9 @@ def _user_space_cheaper(n_users, n):
 
 
 def _user_space_solve(signatures, q, prof, sigma2):
-    """Self-term SINRs 1 - X_uu with X = A^-1, A = I + q G, and the residual
-    S (A X - I) that the equivalent N-space solution Y = D^-1 S X leaves."""
+    """Self-term SINRs 1 - X_uu with X = A^-1, A = I + q G, and the column
+    norms of S (A X - I), the residual that the equivalent N-space
+    solution Y = D^-1 S X leaves."""
     n_users, n = signatures.shape
     conj_rows, scaled, system, defect, error = _workspace_views(
         (n, n_users), (n, n_users), (n_users, n_users), (n_users, n_users), (n, n_users)
@@ -365,8 +341,7 @@ def _user_space_solve(signatures, q, prof, sigma2):
     defect = np.matmul(system, inverse, out=defect.T)
     defect[np.diag_indices(n_users)] -= 1.0
     error = np.matmul(defect.T, signatures, out=error.T)  # rows are (S (A X - I))^T
-    residual = _row_norms(error) / _row_norms(signatures)
-    return 1.0 - np.real(np.diagonal(inverse)), residual
+    return 1.0 - np.real(np.diagonal(inverse)), _row_norms(error)
 
 
 def mmse_sinr_exact(signatures, q, profile, sigma2) -> SinrReport:
@@ -386,7 +361,7 @@ def mmse_sinr_exact(signatures, q, profile, sigma2) -> SinrReport:
     _check_levels(q, sigma2)
     if sigma2 <= 0:
         raise InvalidParameterError("mmse requires sigma2 > 0")
-    signatures = _check_signatures(signatures)
+    signatures, norms = _check_signatures(signatures)
     n_users, n = signatures.shape
     prof = profile_array(profile, n)
     solve = _user_space_solve if _user_space_cheaper(n_users, n) else _chip_space_solve
@@ -394,103 +369,11 @@ def mmse_sinr_exact(signatures, q, profile, sigma2) -> SinrReport:
     # sigma2 = 1e-200); the checks below fail closed on the inf or NaN
     # that results, so the arithmetic need not warn on its way there.
     with np.errstate(over="ignore", invalid="ignore"):
-        with_self, residual = solve(signatures, q, prof, sigma2)
+        with_self, error_norms = solve(signatures, q, prof, sigma2)
+        residual = error_norms / norms
     if not np.all(residual <= SOLVE_RESIDUAL_TOL):
         raise NumericalError(f"linear solve residual {residual.max():.2e} above tolerance")
     if not np.all(with_self < 1.0):
         raise NumericalError("self-term SINR reached 1; covariance numerically singular")
     per_user = with_self / (1.0 - with_self)
-    return SinrReport(per_user=per_user, receiver="mmse", source="exact-formula")
-
-
-def _exclusive_powers(allocation, n_users, n_subcarriers):
-    if allocation is None:
-        return np.zeros((n_users, n_subcarriers))
-    powers = np.asarray(getattr(allocation, "powers", allocation), dtype=float)
-    if powers.shape != (n_users, n_subcarriers):
-        raise InvalidParameterError(
-            f"allocation shape {powers.shape} does not match ({n_users}, {n_subcarriers})"
-        )
-    if not np.all((powers >= 0) & np.isfinite(powers)):
-        raise InvalidParameterError("allocation powers must be finite and >= 0")
-    if n_users and np.any(np.sum(powers > 0, axis=0) > 1):
-        raise InvalidParameterError("allocation violates subcarrier exclusivity")
-    return powers
-
-
-def simulate_uplink_frame(
-    cfg: SystemConfig,
-    codes: np.ndarray,
-    channels: ChannelSet,
-    ofdma_alloc,
-    rng: np.random.Generator,
-    receiver: str = "mf",
-    n_slots: int = 1000,
-    sigma2: float | None = None,
-) -> SinrReport:
-    """Symbol-level simulation measuring receiver-output SINR directly.
-
-    Gaussian symbols with the configured powers are transmitted over
-    ``n_slots`` independent slots; each slot's filter output is split into
-    the known transmitted symbol's contribution and the residual, and the
-    SINR estimate is the ratio of their sample powers (unbiased at finite
-    slot counts).  Serves as an independent check on the exact formulas.
-    """
-    if receiver not in ("mf", "mmse"):
-        raise InvalidParameterError(f"unknown receiver {receiver!r}")
-    if n_slots < 1:
-        raise InvalidParameterError("need at least one slot")
-    sigma2 = cfg.sigma2 if sigma2 is None else sigma2
-    _check_levels(cfg.q, sigma2)
-    if sigma2 < 0 or (receiver == "mmse" and sigma2 <= 0):
-        raise InvalidParameterError("noise power must be >= 0 (> 0 for mmse)")
-    signatures = _check_signatures(effective_signatures(codes, channels))
-    n_users, n = signatures.shape
-    powers = _exclusive_powers(ofdma_alloc, channels.ofdma.shape[0], n)
-    prof = np.sum(powers * channels.ofdma_gains, axis=0)
-    _check_powers(prof)
-
-    half = np.sqrt(0.5)
-    symbols = np.sqrt(cfg.q) * half * (
-        rng.standard_normal((n_users, n_slots)) + 1j * rng.standard_normal((n_users, n_slots))
-    )
-    received = signatures.T @ symbols
-    if powers.any():
-        amp = np.sqrt(powers)[:, :, None]
-        ofdma_symbols = amp * half * (
-            rng.standard_normal((*powers.shape, n_slots))
-            + 1j * rng.standard_normal((*powers.shape, n_slots))
-        )
-        received = received + np.einsum("kn,knm->nm", channels.ofdma, ofdma_symbols)
-    if sigma2 > 0:
-        received = received + np.sqrt(sigma2) * half * (
-            rng.standard_normal((n, n_slots)) + 1j * rng.standard_normal((n, n_slots))
-        )
-
-    if receiver == "mf":
-        filters = signatures
-    else:
-        factor = _cholesky(_received_covariance(signatures, cfg.q, prof, sigma2))
-        filters = (cfg.q * _cho_solve(factor, signatures.T.copy(order="F"))).T
-
-    outputs = filters.conj() @ received
-    gain = np.einsum("un,un->u", filters.conj(), signatures)
-    desired = gain[:, None] * symbols
-    residual = outputs - desired
-    desired_power = np.mean(np.abs(desired) ** 2, axis=1)
-    residual_power = np.mean(np.abs(residual) ** 2, axis=1)
-    with np.errstate(divide="ignore"):
-        per_user = desired_power / residual_power
-    rel_var = (
-        np.var(np.abs(desired) ** 2, axis=1) / np.maximum(desired_power, 1e-300) ** 2
-        + np.var(np.abs(residual) ** 2, axis=1) / np.maximum(residual_power, 1e-300) ** 2
-    ) / n_slots
-    stderr = per_user * np.sqrt(rel_var)
-    return SinrReport(
-        per_user=per_user,
-        receiver=receiver,
-        source="symbol-level",
-        stderr=stderr,
-        desired_power=desired_power,
-        residual_power=residual_power,
-    )
+    return SinrReport(per_user=per_user, receiver="mmse")

@@ -22,6 +22,7 @@ documented SeedSequence hash does (NEP 19).  The streams are the
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,18 @@ _STATE_HASH = np.array(
 
 
 def _word_count(value) -> int:
-    """How many uint32 words SeedSequence makes of an int or nested int sequence.
+    """How many uint32 words SeedSequence makes of its entropy or spawn key.
 
-    An int takes as many words as its bits need, and 0 takes one.
+    An int takes as many words as its bits need, and 0 takes one.  A str
+    item is read as NumPy reads it: hexadecimal after a ``0x`` prefix, else
+    decimal if it starts with an ASCII digit.  A str that NumPy refuses is
+    refused here too.
     """
+    if isinstance(value, str) and re.match("[0-9]", value):
+        try:
+            value = int(value, 16 if value.startswith("0x") else 10)
+        except ValueError:
+            pass  # still a str: refused below
     if isinstance(value, (int, np.integer)):
         return max(1, -(-int(value).bit_length() // 32))
     if isinstance(value, (list, tuple, range, np.ndarray)):

@@ -12,7 +12,6 @@ from refarm import (
     InterferenceProfile,
     SolverOptions,
     SystemConfig,
-    brute_force_oracle,
     db_to_linear,
     effective_signatures,
     gen_channel_set,
@@ -37,6 +36,8 @@ from refarm.experiments import (
     run_load_sweep,
     run_snr_sweep,
 )
+
+from oracles import brute_force_oracle
 
 BETA = db_to_linear(2.0)
 BETA_DB = 2.0

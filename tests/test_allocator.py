@@ -10,7 +10,6 @@ from refarm import (
     InvalidParameterError,
     SolverOptions,
     SystemConfig,
-    brute_force_oracle,
     gen_channel_set,
     mmse_fixed_point_selective,
     mmse_fixed_point_uniform,
@@ -32,6 +31,8 @@ from refarm.allocator import (
 )
 from refarm.cli import main
 from refarm.experiments import _allocation_instance
+
+from oracles import brute_force_oracle
 
 LN2 = np.log(2.0)
 

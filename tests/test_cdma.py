@@ -16,11 +16,12 @@ from refarm import (
     mf_sinr_exact,
     mmse_fixed_point_uniform,
     mmse_sinr_exact,
-    simulate_uplink_frame,
 )
 from refarm import cdma
 from refarm.cdma import mf_filter_output_sinr
 from refarm.experiments import empirical_cdma_sinr
+
+from oracles import simulate_uplink_frame
 
 Q = 100.0
 SIGMA2 = 1.0
@@ -567,3 +568,14 @@ def test_simulate_rejects_non_finite_ofdma_side(receiver, broken):
         powers[1, 3] = float(broken.split("-")[1])
     with pytest.raises(InvalidParameterError, match="powers must be finite"):
         simulate_uplink_frame(cfg, codes, channels, powers, rng, receiver, 10)
+
+
+def test_symbol_level_mmse_refuses_a_singular_covariance():
+    # Three users on eight chips with noise power 1e-300: the received
+    # covariance has numerical rank 3, so its Cholesky factorization fails.
+    cfg = SystemConfig(n_subcarriers=8, cdma_users=3, ofdma_users=0, multipath_taps=2)
+    codes = gen_spreading_codes(3, 8, np.random.default_rng(0))
+    with pytest.raises(NumericalError, match="not numerically positive definite"):
+        simulate_uplink_frame(
+            cfg, codes, awgn_channels(3, 8), None, np.random.default_rng(1), "mmse", 10, 1e-300
+        )

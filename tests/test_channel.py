@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from refarm import InvalidParameterError, SystemConfig, freq_response, gen_channel_set, gen_multipath_taps
-from refarm.channel import _substream_normals
+from refarm.channel import _substream_normals, _word_count
 
 
 def test_single_tap_has_unit_ensemble_power():
@@ -109,6 +109,9 @@ _SEEDS = {
     "int64-array": np.array([5, 2**40, 0], dtype=np.int64),
     "uint32-array": np.array([2**32 - 1, 0, 7, 8, 9], dtype=np.uint32),
     "pool-8-spawn-key": np.random.SeedSequence(42, pool_size=8, spawn_key=(5,)),
+    # NumPy reads str items as decimal, or as hexadecimal after "0x".
+    "decimal-str": np.random.SeedSequence(["5", 7]),
+    "hex-str": np.random.SeedSequence(["0x10deadbeef", 7]),
 }
 
 
@@ -137,6 +140,16 @@ def test_substream_normals_match_spawned_children_of_a_larger_pool():
         for size in (2, 64):
             normals = _substream_normals(rng, n_children, size)
             np.testing.assert_array_equal(normals, _spawned_normals(rng, n_children, size))
+
+
+@pytest.mark.parametrize(
+    "item", ["abc", "0X10", " 7", "0b1", "0x"], ids=["word", "0X", "space", "0b", "bare-0x"]
+)
+def test_str_entropy_numpy_refuses_is_refused_by_name(item):
+    with pytest.raises(ValueError):
+        np.random.SeedSequence([item])
+    with pytest.raises(InvalidParameterError, match=f"entropy '{item}'"):
+        _word_count([7, item])
 
 
 def test_one_user_taps_match_two_draws():

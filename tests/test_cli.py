@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import subprocess
@@ -349,6 +350,19 @@ print("scipy.linalg" in sys.modules)
     assert _run_python(code) == ["False"]
 
 
+def test_commands_never_load_scipy_optimize(tmp_path):
+    # The brute-force test oracle is the only SLSQP user, and it lives
+    # with the tests.  The MMSE sweep reaches the N x N path.
+    code = f"""
+import sys
+from refarm.cli import main
+for args in (["allocate"], ["--set", "receiver=mmse", "--trials", "1", "sweep-load"], ["validate"]):
+    assert main(["--out", {str(tmp_path)!r}, "--quiet", *args]) == 0
+print("scipy.optimize" in sys.modules, "scipy.linalg" in sys.modules)
+"""
+    assert _run_python(code) == ["False", "True"]
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # At 140 dB the 3-user MMSE system is too ill-conditioned for the
     # residual check of its linear solve.
@@ -367,7 +381,8 @@ def test_without_quiet_each_written_path_is_printed(tmp_path, capsys):
 # SHA-256 of every file these commands write at --seed 42.  They pin the
 # allocator-facing outputs byte for byte: a change meant to move a CSV
 # records new digests here.  The sweeps and `validate` are left out
-# because their Monte Carlo MMSE goes through BLAS.
+# because their Monte Carlo MMSE goes through BLAS; the Monte Carlo test
+# at the end of this module pins them at a tolerance instead.
 MF_CONFIG = "a19371aa970d06d581219d6e4f65012b56f41f22f768973bae245fb3681b2fbb"
 MMSE_CONFIG = "97199b1ab8b1d8079841560252f4ef583192e70864c2c6d65d06afe793a228b5"
 ALLOCATION = "529902f8b6f472160574265ff32ae2fe4e24f5f252636dc82aebad84dd74cf1f"
@@ -455,3 +470,48 @@ def test_allocator_commands_match_recorded_digests(tmp_path, case):
     for name, digest in expected.items():
         actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert actual == digest, f"{name} changed"
+
+
+# Every cell these Monte Carlo commands write at --seed 42, as recorded in
+# tests/data/monte_carlo.  Numeric cells are compared at rtol 1e-10: that
+# absorbs BLAS rounding on another CPU, while a change of stream layout or
+# SINR kernel moves them far more.  On the default alpha grid U crosses
+# 0.84 N, so the MMSE load sweep runs both MMSE paths.
+SMALL = ["--set", "subcarriers=32", "--set", "multipath=4", "--trials", "2"]
+MONTE_CARLO = {
+    "sweep-load-mf": ([*SMALL, "--set", "receiver=mf", "sweep-load"], "sweep_load.csv"),
+    "sweep-load-mmse": ([*SMALL, "--set", "receiver=mmse", "sweep-load"], "sweep_load.csv"),
+    "sweep-snr-mf": ([*SMALL, "--set", "receiver=mf", "sweep-snr"], "sweep_snr.csv"),
+    "sweep-snr-mmse": ([*SMALL, "--set", "receiver=mmse", "sweep-snr"], "sweep_snr.csv"),
+    "validate": (["--set", "subcarriers=32", "validate"], "validation.csv"),
+}
+
+
+def _csv_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("case", sorted(MONTE_CARLO))
+def test_monte_carlo_commands_match_recorded_values(tmp_path, case):
+    args, name = MONTE_CARLO[case]
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "--quiet", "--seed", "42", *args]) == EXIT_OK
+    recorded = os.path.join(os.path.dirname(__file__), "data", "monte_carlo", f"{case}.csv")
+    expected, actual = _csv_rows(recorded), _csv_rows(out / name)
+    assert len(actual) == len(expected)
+    for want_row, got_row in zip(expected, actual):
+        assert len(got_row) == len(want_row)
+        for want, got in zip(want_row, got_row):
+            if _is_number(want):
+                np.testing.assert_allclose(float(got), float(want), rtol=1e-10, atol=0, err_msg=str(want_row))
+            else:
+                assert got == want, want_row
