@@ -101,15 +101,8 @@ def _cmd_sweep(settings, args, out):
         parameter, run, name = "alpha", run_load_sweep, "sweep_load.csv"
     else:
         parameter, run, name = "receive_snr_db", run_snr_sweep, "sweep_snr.csv"
-    # The configured grid belongs to the configured sweep parameter; the
-    # other command sweeps its parameter's default grid.
-    if settings.sweep_parameter == parameter:
-        grid = settings.grid
-    else:
-        grid = cli_io.DEFAULT_GRIDS[parameter]
     spec = SweepSpec(
-        parameter=parameter,
-        grid=np.asarray(grid),
+        grid=np.asarray(settings.grid or cli_io.DEFAULT_GRIDS[parameter]),
         receiver=settings.receiver,
         base=settings.system,
         trials=settings.trials,

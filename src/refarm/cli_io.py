@@ -34,8 +34,7 @@ _SYSTEM_KEYS = {
     "channel_model": ("choice:" + ",".join(CHANNEL_MODELS), "selective"),
 }
 _SWEEP_KEYS = {
-    "parameter": ("choice:alpha,receive_snr_db", "alpha"),
-    "grid": ("grid", None),  # default depends on parameter
+    "grid": ("grid", ()),  # empty: the sweep command's DEFAULT_GRIDS entry
     "trials": ("int", 200),
 }
 _SOLVER_KEYS = {
@@ -57,8 +56,7 @@ class RunSettings:
     system: SystemConfig
     receiver: str = "mf"
     channel_model: str = "selective"
-    sweep_parameter: str = "alpha"
-    grid: tuple = ()
+    grid: tuple = ()  # empty: the sweep command's DEFAULT_GRIDS entry
     trials: int = 200
     solver: SolverOptions = field(default_factory=SolverOptions)
     raw: dict = field(default_factory=dict, compare=False)
@@ -74,6 +72,8 @@ MAX_GRID_POINTS = 1000
 
 def _parse_grid(text: str, key: str) -> tuple:
     text = text.strip()
+    if not text:
+        return ()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -176,8 +176,6 @@ def parse_config(path=None, overrides=()) -> RunSettings:
     system = resolved["system"]
     if system["multipath"] is None:
         system["multipath"] = max(1, system["subcarriers"] // 8)
-    if resolved["sweep"]["grid"] is None:
-        resolved["sweep"]["grid"] = DEFAULT_GRIDS[resolved["sweep"]["parameter"]]
 
     sigma2 = system["noise_power"]
     caps_db = system["power_cap_db"]
@@ -208,13 +206,12 @@ def parse_config(path=None, overrides=()) -> RunSettings:
     if sweep["trials"] < 1:
         raise ConfigError("invariant violated: trials >= 1")
     grid = tuple(sweep["grid"])
-    if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("invariant violated: grid nonempty and strictly increasing")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("invariant violated: grid strictly increasing")
     return RunSettings(
         system=cfg,
         receiver=system["receiver"],
         channel_model=system["channel_model"],
-        sweep_parameter=sweep["parameter"],
         grid=grid,
         trials=sweep["trials"],
         solver=options,

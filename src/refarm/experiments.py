@@ -60,9 +60,8 @@ SWEEP_COLUMNS = [
 
 @dataclass
 class SweepSpec:
-    """Grid description for a load or receive-SNR sweep."""
+    """Grid for a load or receive-SNR sweep; the run function decides what it holds."""
 
-    parameter: str  # "alpha" or "receive_snr_db"
     grid: np.ndarray
     receiver: str
     base: SystemConfig = field(default_factory=SystemConfig)
@@ -73,8 +72,6 @@ class SweepSpec:
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
-        if self.parameter not in ("alpha", "receive_snr_db"):
-            raise InvalidParameterError("parameter must be alpha or receive_snr_db")
         if self.grid.size == 0 or np.any(np.diff(self.grid) <= 0):
             raise InvalidParameterError("grid must be nonempty and strictly increasing")
         if self.trials < 1:
@@ -202,7 +199,7 @@ def _sweep_point(cfg, receiver, model, trials, gains, rng, solver):
     return row
 
 
-def _sweep(spec: SweepSpec, configs) -> SweepResult:
+def _sweep(spec: SweepSpec, parameter: str, configs) -> SweepResult:
     master = np.random.default_rng(spec.seed)
     ofdma_rng, empirical_root = master.spawn(2)
     gains = gen_channel_set(
@@ -211,35 +208,31 @@ def _sweep(spec: SweepSpec, configs) -> SweepResult:
     point_rngs = empirical_root.spawn(len(configs))
     rows = []
     for value, cfg, rng in zip(spec.grid, configs, point_rngs):
-        row = {spec.parameter: float(value)}
+        row = {parameter: float(value)}
         row.update(
             _sweep_point(cfg, spec.receiver, spec.channel_model, spec.trials, gains, rng, spec.solver)
         )
         rows.append(row)
     return SweepResult(
-        parameter=spec.parameter,
+        parameter=parameter,
         receiver=spec.receiver,
         rows=rows,
-        columns=[spec.parameter] + SWEEP_COLUMNS,
+        columns=[parameter] + SWEEP_COLUMNS,
     )
 
 
 def run_load_sweep(spec: SweepSpec) -> SweepResult:
     """Sweep the CDMA load at fixed receive SNR."""
-    if spec.parameter != "alpha":
-        raise InvalidParameterError("load sweep needs parameter == 'alpha'")
     configs = [spec.base.replace(alpha=float(a)) for a in spec.grid]
-    return _sweep(spec, configs)
+    return _sweep(spec, "alpha", configs)
 
 
 def run_snr_sweep(spec: SweepSpec) -> SweepResult:
     """Sweep the CDMA receive SNR (dB grid) at fixed load."""
-    if spec.parameter != "receive_snr_db":
-        raise InvalidParameterError("snr sweep needs parameter == 'receive_snr_db'")
     configs = [
         spec.base.replace(q=db_to_linear(float(db)) * spec.base.sigma2) for db in spec.grid
     ]
-    return _sweep(spec, configs)
+    return _sweep(spec, "receive_snr_db", configs)
 
 
 @dataclass

@@ -56,8 +56,7 @@ def report(criterion, detail):
 def load_sweeps_20db():
     return {
         receiver: run_load_sweep(
-            SweepSpec(parameter="alpha", grid=LOAD_GRID, receiver=receiver, base=DEFAULTS,
-                      trials=200, seed=42)
+            SweepSpec(grid=LOAD_GRID, receiver=receiver, base=DEFAULTS, trials=200, seed=42)
         )
         for receiver in ("mf", "mmse")
     }
@@ -68,8 +67,7 @@ def load_sweeps_10db():
     base = DEFAULTS.replace(q=db_to_linear(10.0))
     return {
         receiver: run_load_sweep(
-            SweepSpec(parameter="alpha", grid=LOAD_GRID, receiver=receiver, base=base,
-                      trials=10, seed=42)
+            SweepSpec(grid=LOAD_GRID, receiver=receiver, base=base, trials=10, seed=42)
         )
         for receiver in ("mf", "mmse")
     }
@@ -82,8 +80,7 @@ def snr_sweeps():
         for alpha in (0.05, 0.2):
             base = DEFAULTS.replace(alpha=alpha)
             out[(receiver, alpha)] = run_snr_sweep(
-                SweepSpec(parameter="receive_snr_db", grid=SNR_GRID, receiver=receiver,
-                          base=base, trials=20, seed=42)
+                SweepSpec(grid=SNR_GRID, receiver=receiver, base=base, trials=20, seed=42)
             )
     return out
 

@@ -208,20 +208,49 @@ def test_trials_flag_is_recorded_in_the_resolved_config(tmp_path):
     assert (rerun / "sweep_load.csv").read_bytes() == (first / "sweep_load.csv").read_bytes()
 
 
+def _first_column(path):
+    return [float(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
+
+
+def test_configured_grid_is_what_sweep_snr_sweeps(tmp_path):
+    out = tmp_path / "run"
+    args = ["--set", "grid=4:8:2", "--trials", "1", "sweep-snr"]
+    assert main(["--out", str(out), "--quiet", *TINY, *args]) == EXIT_OK
+    assert (out / "sweep_snr.csv").read_text().startswith("receive_snr_db,")
+    assert _first_column(out / "sweep_snr.csv") == [4.0, 6.0, 8.0]
+
+
+def test_sweep_parameter_key_exits_2_naming_it(tmp_path, capsys):
+    # The sweep command decides what it sweeps; the key was dropped.
+    args = ["--out", str(tmp_path), "--set", "sweep.parameter=alpha", "sweep-load"]
+    assert main(args) == EXIT_CONFIG
+    assert "sweep.parameter" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
-    "command, csv, parameter, other",
-    [("sweep-load", "sweep_load.csv", "alpha", "receive_snr_db"),
-     ("sweep-snr", "sweep_snr.csv", "receive_snr_db", "alpha")],
+    "command, csv, parameter",
+    [("sweep-load", "sweep_load.csv", "alpha"),
+     ("sweep-snr", "sweep_snr.csv", "receive_snr_db")],
     ids=["sweep-load", "sweep-snr"],
 )
-def test_sweep_of_the_other_parameter_uses_its_default_grid(tmp_path, command, csv, parameter, other):
+def test_empty_grid_sweeps_the_commands_default_grid(tmp_path, command, csv, parameter):
     out = tmp_path / "run"
-    args = ["--set", f"sweep.parameter={other}", "--trials", "1", command]
+    args = ["--set", "sweep.grid=", "--trials", "1", command]
     assert main(["--out", str(out), "--quiet", *TINY, *args]) == EXIT_OK
-    lines = (out / csv).read_text().splitlines()
-    assert lines[0].split(",")[0] == parameter
-    grid = [float(line.split(",")[0]) for line in lines[1:]]
-    assert grid == pytest.approx(DEFAULT_GRIDS[parameter], rel=1e-11)
+    assert (out / csv).read_text().startswith(f"{parameter},")
+    assert _first_column(out / csv) == pytest.approx(DEFAULT_GRIDS[parameter], rel=1e-11)
+    assert "grid = " in (out / "resolved_config.ini").read_text().splitlines()
+
+
+def test_rerun_from_a_sweep_snr_resolved_config_reproduces_its_csv(tmp_path):
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    args = ["--quiet", *TINY, "--set", "receiver=mmse", "--trials", "2"]
+    assert main(["--out", str(first), *args, "sweep-snr"]) == EXIT_OK
+    config = first / "resolved_config.ini"
+    assert "grid = " in config.read_text().splitlines()  # no alpha grid recorded
+    assert main(["--out", str(rerun), "--quiet", "--config", str(config), "sweep-snr"]) == EXIT_OK
+    assert (rerun / "sweep_snr.csv").read_bytes() == (first / "sweep_snr.csv").read_bytes()
+    assert (rerun / "resolved_config.ini").read_bytes() == config.read_bytes()
 
 
 def test_trace_and_snapshot_commands(tmp_path):
@@ -271,6 +300,7 @@ def test_no_ofdma_users(tmp_path, command):
     [
         ("[system]\ncp_length = 31\n", "cp_length"),
         ("[system]\nbandwidth_hz = 5e6\n", "bandwidth_hz"),
+        ("[sweep]\nparameter = alpha\n", "parameter"),
         ("[solver]\nmax_iterations = 0\n", "max_iterations"),
         ("[solver]\ngap_tolerance = 0\n", "gap_tolerance"),
         ("[solver]\nstep_scale = 0.1\n", "step_scale"),
@@ -286,7 +316,7 @@ def test_no_ofdma_users(tmp_path, command):
         ("[sweep]\ngrid = " + ",".join(["0.1"] * 1001) + "\n", "grid"),
     ],
     ids=[
-        "cp_length", "bandwidth_hz", "max_iterations", "gap_tolerance",
+        "cp_length", "bandwidth_hz", "parameter", "max_iterations", "gap_tolerance",
         "step_scale", "delta_init", "lambda_init",
         "alpha-nan", "receive_snr_db-inf", "noise_power-inf", "grid-nan",
         "grid-1e12-points", "grid-1e7-points", "grid-range-nan", "grid-1001-values",
@@ -383,8 +413,8 @@ def test_without_quiet_each_written_path_is_printed(tmp_path, capsys):
 # records new digests here.  The sweeps and `validate` are left out
 # because their Monte Carlo MMSE goes through BLAS; the Monte Carlo test
 # at the end of this module pins them at a tolerance instead.
-MF_CONFIG = "a19371aa970d06d581219d6e4f65012b56f41f22f768973bae245fb3681b2fbb"
-MMSE_CONFIG = "97199b1ab8b1d8079841560252f4ef583192e70864c2c6d65d06afe793a228b5"
+MF_CONFIG = "3da619b23de7746e59aecc527985ba54e81593ca52953a16c1d365f963eda3d7"
+MMSE_CONFIG = "2f6f36574096d08e6170c6c67c48553b21eff47c185f20a2b5578239b7fcd432"
 ALLOCATION = "529902f8b6f472160574265ff32ae2fe4e24f5f252636dc82aebad84dd74cf1f"
 GOLDEN = {
     "margin": (
@@ -415,7 +445,7 @@ GOLDEN = {
         {
             "allocation.csv": "357b703f41b1273819c3c86e2fad428d95c22b48d2e688dbfb11bc14fd5ca9c3",
             "allocation_summary.csv": "056f18ef61b7dc34acfc3b816996ac8d72814cc010adb57ed8d01f2e262ea9e6",
-            "resolved_config.ini": "cc40dd3086b1fcc387f836898eb9894b22baa59f10e479454d307ce4a1a60d69",
+            "resolved_config.ini": "7e7087af2c04e74dbae02a80299dbd5fa9fa3fd5a45729dc01a02e27218c50cf",
         },
     ),
     # This output is the known flat-channel defect (ROADMAP open item 1):
@@ -427,7 +457,7 @@ GOLDEN = {
         {
             "allocation.csv": "57503b5309f1c3041400646de12d57e5aefd655d52a31129aaca2ae7b1154b3d",
             "allocation_summary.csv": "fed3bb6fc5ee275d63c806b3fde8b75366317fcd71fba0c0dff071562ef5a067",
-            "resolved_config.ini": "320112682e6e9e5dd3ad600c954a690d483dfd765931a3d5562825729fcbca16",
+            "resolved_config.ini": "60d859cea5180db4f0164ebb36bdcab889bdf4cccb58137ea6fb7dd1e0ea368d",
         },
     ),
     # 2**8 assignments: solve_p1 enumerates them and runs no dual loop.
@@ -436,7 +466,7 @@ GOLDEN = {
         {
             "allocation.csv": "1eebdf362ce1dc8b8645fa4599853fb52ad864a2a89725c4c6d2da020590724b",
             "allocation_summary.csv": "2a22b14726b988ba1fcc5c8910988965a2fe16f32c1cea0a87b9715c74e58345",
-            "resolved_config.ini": "52892eecebc01031e78a88cf6694516a9bb209f675116cc63f5db5f92e374d79",
+            "resolved_config.ini": "862509d92c227641312efa6f1e3bc5395d85f45fb6643b7ad07384a482d30853",
         },
     ),
 }

@@ -21,7 +21,6 @@ FAST_SOLVER = SolverOptions(max_iterations=600)
 
 def small_spec(**kwargs):
     defaults = dict(
-        parameter="alpha",
         grid=np.array([0.1, 0.3, 0.5]),
         receiver="mf",
         base=SMALL,
@@ -59,7 +58,7 @@ def test_load_sweep_records_populated_pairs():
 
 
 def test_snr_sweep_runs_and_is_monotone_in_theory_sinr():
-    spec = small_spec(parameter="receive_snr_db", grid=np.array([8.0, 14.0, 20.0]), receiver="mmse")
+    spec = small_spec(grid=np.array([8.0, 14.0, 20.0]), receiver="mmse")
     result = run_snr_sweep(spec)
     theory = result.column("cdma_sinr_theory")
     feasible = result.column("feasible").astype(bool)
