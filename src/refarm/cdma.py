@@ -86,11 +86,8 @@ def gen_spreading_codes(n_users: int, n_chips: int, rng: np.random.Generator) ->
     """
     if n_users < 0 or n_chips < 1:
         raise InvalidParameterError("need n_users >= 0 and n_chips >= 1")
-    chips = rng.integers(0, 2, size=(n_users, n_chips))
-    chips *= 2
-    chips -= 1
-    # Divided into the chips' own storage: int64 and float64 have one size.
-    return np.divide(chips, np.sqrt(n_chips), out=chips.view(float))
+    chip = 1 / np.sqrt(n_chips)
+    return np.where(rng.integers(0, 2, size=(n_users, n_chips)) == 1, chip, -chip)
 
 
 def effective_signatures(codes: np.ndarray, channels: ChannelSet) -> np.ndarray:
@@ -112,7 +109,8 @@ def effective_signatures(codes: np.ndarray, channels: ChannelSet) -> np.ndarray:
     chips = _workspace_views((n, codes.shape[0]))[0].T
     chips[...] = codes
     signatures = np.fft.fft(chips, axis=1)
-    signatures /= np.sqrt(n)
+    # Complex division by a real divisor computes x (1/d) anyway, slowly.
+    signatures *= 1 / np.sqrt(n)
     # In place, operands in the order of ``channels.cdma * signatures``:
     # with fused multiply-adds the complex product is not commutative.
     return np.multiply(channels.cdma, signatures, out=signatures)
@@ -196,19 +194,19 @@ class SinrReport:
         return float(np.mean(self.per_user))
 
 
-def _check_signatures(signatures):
-    """The signatures as a C-ordered complex (U, N) array and their row norms.
+def _check_signatures(signatures, name="signature"):
+    """The signatures (or filters) as a C-ordered complex (U, N) array and their row norms.
 
     Refused by name if unusable.
     """
     signatures = np.ascontiguousarray(signatures, dtype=complex)
     if signatures.ndim != 2 or signatures.shape[0] < 1:
-        raise InvalidParameterError("need at least one signature row")
+        raise InvalidParameterError(f"need at least one {name} row")
     norms = _row_norms(signatures)
     if not np.all(np.isfinite(norms)):
-        raise InvalidParameterError("signatures must be finite")
+        raise InvalidParameterError(f"{name}s must be finite")
     if np.any(norms == 0):
-        raise InvalidParameterError("degenerate user: zero-norm signature")
+        raise InvalidParameterError(f"degenerate user: zero-norm {name}")
     return signatures, norms
 
 
@@ -219,8 +217,10 @@ def _row_norms(rows):
 
 
 def _check_levels(q, sigma2):
-    if not (np.isfinite(q) and np.isfinite(sigma2)):
-        raise InvalidParameterError(f"q and sigma2 must be finite, got q={q}, sigma2={sigma2}")
+    if not (0 <= q < np.inf and 0 <= sigma2 < np.inf):
+        raise InvalidParameterError(
+            f"q and sigma2 must be finite and >= 0, got q={q}, sigma2={sigma2}"
+        )
 
 
 def mf_filter_output_sinr(filters, signatures, q, profile, sigma2) -> np.ndarray:
@@ -230,10 +230,13 @@ def mf_filter_output_sinr(filters, signatures, q, profile, sigma2) -> np.ndarray
     to a signal with signature e_u, interference from the other users'
     signatures, the OFDMA profile and noise.  The value is a generalized
     Rayleigh quotient, hence invariant to rescaling any single filter.
+    Filters are refused by name as signatures are, and so are negative or
+    non-finite q and sigma2.
     """
     _check_levels(q, sigma2)
+    same = filters is signatures
     signatures, _ = _check_signatures(signatures)
-    filters = np.asarray(filters)
+    filters = signatures if same else _check_signatures(filters, "filter")[0]
     if filters.shape != signatures.shape:
         raise InvalidParameterError("filters must match signatures in shape")
     n_users, n = signatures.shape
@@ -308,8 +311,9 @@ def _user_space_cheaper(n_users, n):
 
     The formula counts complex multiply-adds of a general product and a
     Cholesky solve on either side.  With the present kernels the measured
-    crossover at N = 256 (one BLAS thread) lies between 0.68 N and 0.72 N,
-    and the U-space path is up to 1.5 times slower just below 0.84 N.
+    crossover at N = 256 (one BLAS thread, median of 15 calls) lies
+    between 0.64 N and 0.68 N, and the U-space path is up to 1.4 times
+    slower just below 0.84 N.
     The threshold stays because the U-space residual check is the
     stricter on ill-conditioned systems: for 3 users on 4 chips at 140 dB
     (AWGN, 200 code draws) the N x N check passes every draw at residual
@@ -329,7 +333,7 @@ def _user_space_solve(signatures, q, prof, sigma2):
         (n, n_users), (n, n_users), (n_users, n_users), (n_users, n_users), (n, n_users)
     )
     conj_rows = np.conjugate(signatures, out=conj_rows.T)
-    scaled = np.divide(signatures.T, (prof + sigma2)[:, None], out=scaled)
+    scaled = np.multiply(signatures.T, (1 / (prof + sigma2))[:, None], out=scaled)
     system = np.matmul(conj_rows, scaled, out=system.T)
     system *= q
     system[np.diag_indices(n_users)] += 1.0

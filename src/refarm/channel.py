@@ -89,25 +89,24 @@ def _child_seed_type():
     return ChildSeed
 
 
-def _substream_normals(rng: np.random.Generator, n_children: int, size: int) -> np.ndarray:
-    """``size`` standard normals from each of the next ``n_children`` children of ``rng``.
+def _substream_normals(seq: np.random.SeedSequence, n_children: int, size: int) -> np.ndarray:
+    """``size`` standard normals from each of the next ``n_children`` children of ``seq``.
 
     Returns an (n_children, size) array equal bit for bit to
-    ``np.stack([c.standard_normal(size) for c in rng.spawn(n_children)])``,
-    without building a SeedSequence per child.  Every child's entropy is
+    ``np.stack([np.random.default_rng(c).standard_normal(size) for c in
+    seq.spawn(n_children)])``, without building a SeedSequence per child.  Every child's entropy is
     the parent's, zero-padded to the pool size, with its spawn index
     appended, and ``mix_entropy`` hashes missing pool words as zeros; so
     the parent's own ``seq.pool`` is every child's pool before the index
     word is mixed in.  Only that last mix and the ``generate_state`` hash
     are done here, for all children in one vectorized pass; NumPy seeds
     each child's PCG64 from the hashed words.  ``n_children_spawned`` is
-    read-only, so unlike ``rng.spawn`` this does not advance it: a later
-    ``rng.spawn`` returns these same children again.  Raises
-    InvalidParameterError unless ``rng`` is backed by PCG64 seeded from a
-    SeedSequence.
+    read-only, so unlike ``seq.spawn`` this does not advance it: a later
+    ``seq.spawn`` returns these same children again.  Raises
+    InvalidParameterError unless ``seq`` is a SeedSequence (None stands
+    for the side of a generator other than PCG64).
     """
-    seq = rng.bit_generator.seed_seq
-    if type(rng.bit_generator) is not np.random.PCG64 or type(seq) is not np.random.SeedSequence:
+    if type(seq) is not np.random.SeedSequence:
         raise InvalidParameterError(
             "user substreams need a PCG64 generator seeded from a SeedSequence"
         )
@@ -195,7 +194,7 @@ class ChannelSet:
         return np.abs(self.ofdma) ** 2
 
 
-def _user_responses(n_users, n_subcarriers, n_taps, model, rng):
+def _user_responses(n_users, n_subcarriers, n_taps, model, side):
     if n_users == 0:
         return np.zeros((0, n_subcarriers), dtype=complex)
     if model == "awgn":
@@ -207,26 +206,29 @@ def _user_responses(n_users, n_subcarriers, n_taps, model, rng):
         raise InvalidParameterError("more taps than subcarriers")
     # Each user draws its taps from its own substream; one stacked
     # transform gives every row exactly as freq_response would.
-    taps = _complex_taps(_substream_normals(rng, n_users, 2 * taps_per_user))
+    taps = _complex_taps(_substream_normals(side, n_users, 2 * taps_per_user))
     return np.fft.fft(taps, n=n_subcarriers, axis=1)
 
 
 def gen_channel_set(cfg: SystemConfig, model: str, rng: np.random.Generator) -> ChannelSet:
     """Generate independent responses for all CDMA and OFDMA users.
 
-    ``rng`` spawns one generator for the CDMA side and one for the OFDMA
-    side, and each user draws its taps from the matching child of its
-    side, in user order.  The children are the ones ``spawn`` would give,
-    seeded directly by ``_substream_normals`` rather than built as
-    Generators, so a fixed master seed reproduces the set bit for bit and
-    per-user generation may run in parallel.  ``rng`` must be backed by
-    PCG64 seeded from a SeedSequence, as ``np.random.default_rng`` gives;
-    any other generator raises InvalidParameterError unless the model is
+    ``rng`` spawns one SeedSequence for the CDMA side and one for the
+    OFDMA side, those of ``rng.spawn(2)``, and each user draws its taps
+    from the matching child of its side, in user order.  Nothing draws
+    from the sides themselves, so no Generator is built for them, and the
+    children are seeded directly by ``_substream_normals``; a fixed master
+    seed reproduces the set bit for bit and per-user generation may run in
+    parallel.  ``rng`` must be backed by PCG64 seeded from a SeedSequence,
+    as ``np.random.default_rng`` gives; any other generator raises
+    InvalidParameterError for a side with users, unless the model is
     ``awgn``, which draws nothing.
     """
     if model not in CHANNEL_MODELS:
         raise InvalidParameterError(f"unknown channel model {model!r}")
-    cdma_rng, ofdma_rng = rng.spawn(2)
-    cdma = _user_responses(cfg.cdma_users, cfg.n_subcarriers, cfg.multipath_taps, model, cdma_rng)
-    ofdma = _user_responses(cfg.ofdma_users, cfg.n_subcarriers, cfg.multipath_taps, model, ofdma_rng)
+    sides = rng.bit_generator.seed_seq.spawn(2)
+    if type(rng.bit_generator) is not np.random.PCG64:
+        sides = (None, None)  # refused where a side draws
+    cdma = _user_responses(cfg.cdma_users, cfg.n_subcarriers, cfg.multipath_taps, model, sides[0])
+    ofdma = _user_responses(cfg.ofdma_users, cfg.n_subcarriers, cfg.multipath_taps, model, sides[1])
     return ChannelSet(cdma=cdma, ofdma=ofdma, model=model)

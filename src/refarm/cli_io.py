@@ -25,7 +25,7 @@ _SYSTEM_KEYS = {
     "alpha": ("float", 0.2),
     "cdma_users": ("optional_int", None),
     "ofdma_users": ("int", 2),
-    "multipath": ("optional_int", None),  # default subcarriers // 8
+    "multipath": ("optional_int", None),
     "receive_snr_db": ("float", 20.0),
     "target_sinr_db": ("float", 2.0),
     "noise_power": ("float", 1.0),
@@ -174,9 +174,6 @@ def parse_config(path=None, overrides=()) -> RunSettings:
         for section, keys in _SECTIONS.items()
     }
     system = resolved["system"]
-    if system["multipath"] is None:
-        system["multipath"] = max(1, system["subcarriers"] // 8)
-
     sigma2 = system["noise_power"]
     caps_db = system["power_cap_db"]
     if len(caps_db) == 1:
@@ -202,6 +199,7 @@ def parse_config(path=None, overrides=()) -> RunSettings:
         )
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
+    system["multipath"] = cfg.multipath_taps  # as SystemConfig derived it
     sweep = resolved["sweep"]
     if sweep["trials"] < 1:
         raise ConfigError("invariant violated: trials >= 1")

@@ -55,8 +55,9 @@ class SystemConfig:
         keep using ``alpha`` as given.
     ofdma_users : int
         Number of OFDMA uplink users sharing the band.
-    multipath_taps : int
-        Channel taps per user (uniform power delay profile).
+    multipath_taps : int, optional
+        Channel taps per user (uniform power delay profile); when not
+        given it is ``max(1, n_subcarriers // 8)``.
     q : float
         Per-user CDMA receive power (linear, units of sigma2).
     sigma2 : float
@@ -71,7 +72,7 @@ class SystemConfig:
     alpha: float = 0.2
     cdma_users: int | None = None
     ofdma_users: int = 2
-    multipath_taps: int = 32
+    multipath_taps: int | None = None
     q: float = db_to_linear(DEFAULT_RECEIVE_SNR_DB)
     sigma2: float = 1.0
     beta_star: float = db_to_linear(DEFAULT_TARGET_SINR_DB)
@@ -92,6 +93,8 @@ class SystemConfig:
             if not np.isfinite(self.alpha):
                 raise InvalidParameterError(f"invariant violated: {_ALPHA_RANGE}")
             self.cdma_users = int(round(self.alpha * self.n_subcarriers))
+        if self.multipath_taps is None:
+            self.multipath_taps = max(1, self.n_subcarriers // 8)
         self.validate()
 
     def validate(self):
@@ -129,11 +132,14 @@ class SystemConfig:
         """Return a copy with the given fields replaced.
 
         ``alpha`` and ``cdma_users`` stay consistent: changing one without
-        the other re-derives the user count from the load.
+        the other re-derives the user count from the load.  Changing
+        ``n_subcarriers`` without ``multipath_taps`` re-derives the taps.
         """
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         if ("alpha" in kwargs or "n_subcarriers" in kwargs) and "cdma_users" not in kwargs:
             values["cdma_users"] = None
+        if "n_subcarriers" in kwargs and "multipath_taps" not in kwargs:
+            values["multipath_taps"] = None
         if "ofdma_users" in kwargs and "power_caps" not in kwargs:
             cap = self.power_caps[0] if self.power_caps else None
             values["power_caps"] = cap

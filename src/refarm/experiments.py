@@ -104,8 +104,12 @@ def empirical_cdma_sinr(cfg: SystemConfig, profile, receiver, model, trials, rng
         return float("nan"), float("nan"), np.array([])
     cdma_only = cfg.replace(ofdma_users=0)
     trial_means = np.empty(trials)
-    for i, trial_rng in enumerate(rng.spawn(trials)):
-        code_rng, chan_rng = trial_rng.spawn(2)
+    # Nothing draws from a trial's own stream, so it is spawned as a
+    # SeedSequence; its two children are the Generators that
+    # rng.spawn(trials)[i].spawn(2) would give.
+    bit_generator = type(rng.bit_generator)
+    for i, trial_seq in enumerate(rng.bit_generator.seed_seq.spawn(trials)):
+        code_rng, chan_rng = (np.random.Generator(bit_generator(s)) for s in trial_seq.spawn(2))
         codes = gen_spreading_codes(cfg.cdma_users, cfg.n_subcarriers, code_rng)
         channels = gen_channel_set(cdma_only, model, chan_rng)
         signatures = effective_signatures(codes, channels)

@@ -212,6 +212,39 @@ def test_non_finite_levels_rejected_by_name(check, levels):
         check(*levels)
 
 
+# Each pair holds one negative level.  The MF kernel used to return
+# finite SINRs for them, and the MMSE kernel a NumericalError for q < 0.
+_NEGATIVE_LEVELS = {"q": (-1.0, SIGMA2), "sigma2": (Q, -5.0)}
+
+
+@pytest.mark.parametrize("levels", _NEGATIVE_LEVELS.values(), ids=_NEGATIVE_LEVELS.keys())
+@pytest.mark.parametrize("check", _LEVEL_CHECKS.values(), ids=_LEVEL_CHECKS.keys())
+def test_negative_levels_rejected_by_name(check, levels):
+    with pytest.raises(InvalidParameterError, match="q and sigma2 must be finite and >= 0"):
+        check(*levels)
+
+
+@pytest.mark.parametrize("check", _LEVEL_CHECKS.values(), ids=_LEVEL_CHECKS.keys())
+def test_zero_q_gives_zero_sinr(check):
+    result = check(0.0, SIGMA2)
+    np.testing.assert_array_equal(getattr(result, "per_user", result), 0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_filters_rejected_by_name(value):
+    filters = _signatures(3)
+    filters[1, 2] = value
+    with pytest.raises(InvalidParameterError, match="filters must be finite"):
+        mf_filter_output_sinr(filters, _signatures(3), Q, None, SIGMA2)
+
+
+def test_zero_filter_row_rejected_by_name():
+    filters = _signatures(3)
+    filters[1] = 0.0
+    with pytest.raises(InvalidParameterError, match="zero-norm filter"):
+        mf_filter_output_sinr(filters, _signatures(3), Q, None, SIGMA2)
+
+
 @pytest.mark.parametrize("receiver", ["mf", "mmse"])
 @pytest.mark.parametrize(
     "q, sigma2", [(np.inf, None), (Q, np.nan), (Q, np.inf)], ids=["q-inf", "sigma2-nan", "sigma2-inf"]

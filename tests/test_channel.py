@@ -125,7 +125,7 @@ def test_substream_normals_match_spawned_children(seed, nested):
     for n_children in (0, 1, 13, 346):
         for size in (2, 64):
             spawned_before = rng.bit_generator.seed_seq.n_children_spawned
-            normals = _substream_normals(rng, n_children, size)
+            normals = _substream_normals(rng.bit_generator.seed_seq, n_children, size)
             # The helper leaves the spawn counter alone, so spawn() now
             # hands out the very children the helper drew from.
             assert rng.bit_generator.seed_seq.n_children_spawned == spawned_before
@@ -138,7 +138,7 @@ def test_substream_normals_match_spawned_children_of_a_larger_pool():
     rng = np.random.default_rng(np.random.SeedSequence(42, pool_size=8))
     for n_children in (0, 1, 13, 346):
         for size in (2, 64):
-            normals = _substream_normals(rng, n_children, size)
+            normals = _substream_normals(rng.bit_generator.seed_seq, n_children, size)
             np.testing.assert_array_equal(normals, _spawned_normals(rng, n_children, size))
 
 

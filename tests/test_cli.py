@@ -76,6 +76,22 @@ def test_system_config_refuses_non_finite_levels_by_name(key, value):
         SystemConfig(**{key: value})
 
 
+@pytest.mark.parametrize("n, taps", [(16, 2), (64, 8), (256, 32), (4, 1)])
+def test_tap_count_defaults_to_an_eighth_of_the_band(n, taps):
+    # SystemConfig used to default to 32 taps whatever N was, so N = 16
+    # was refused and N = 64 got 32 taps where the CLI gave 8.
+    assert SystemConfig(n_subcarriers=n).multipath_taps == taps
+    assert parse_config(None, [f"subcarriers={n}"]).system.multipath_taps == taps
+    assert SystemConfig().replace(n_subcarriers=n).multipath_taps == taps
+
+
+def test_replace_keeps_a_given_tap_count():
+    cfg = SystemConfig(n_subcarriers=64, multipath_taps=4)
+    assert cfg.replace(alpha=0.5).multipath_taps == 4
+    assert cfg.replace(n_subcarriers=128, multipath_taps=4).multipath_taps == 4
+    assert cfg.replace(n_subcarriers=128).multipath_taps == 16
+
+
 def test_grid_parsing_forms():
     settings = parse_config(None, ["sweep.grid=0.1:0.5:0.2"])
     assert settings.grid == pytest.approx((0.1, 0.3, 0.5))
