@@ -94,17 +94,17 @@ def _substream_normals(seq: np.random.SeedSequence, n_children: int, size: int) 
 
     Returns an (n_children, size) array equal bit for bit to
     ``np.stack([np.random.default_rng(c).standard_normal(size) for c in
-    seq.spawn(n_children)])``, without building a SeedSequence per child.  Every child's entropy is
-    the parent's, zero-padded to the pool size, with its spawn index
-    appended, and ``mix_entropy`` hashes missing pool words as zeros; so
-    the parent's own ``seq.pool`` is every child's pool before the index
-    word is mixed in.  Only that last mix and the ``generate_state`` hash
-    are done here, for all children in one vectorized pass; NumPy seeds
-    each child's PCG64 from the hashed words.  ``n_children_spawned`` is
-    read-only, so unlike ``seq.spawn`` this does not advance it: a later
-    ``seq.spawn`` returns these same children again.  Raises
-    InvalidParameterError unless ``seq`` is a SeedSequence (None stands
-    for the side of a generator other than PCG64).
+    seq.spawn(n_children)])``, without building a SeedSequence per child.
+    Every child's entropy is the parent's, zero-padded to the pool size,
+    with its spawn index appended, and ``mix_entropy`` hashes missing pool
+    words as zeros; so the parent's own ``seq.pool`` is every child's pool
+    before the index word is mixed in.  Only that last mix and the
+    ``generate_state`` hash are done here, for all children in one
+    vectorized pass; NumPy seeds each child's PCG64 from the hashed words.
+    ``n_children_spawned`` is read-only, so unlike ``seq.spawn`` this does
+    not advance it: a later ``seq.spawn`` returns these same children
+    again.  Raises InvalidParameterError unless ``seq`` is a SeedSequence
+    (None stands for the side of a generator other than PCG64).
     """
     if type(seq) is not np.random.SeedSequence:
         raise InvalidParameterError(

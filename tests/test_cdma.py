@@ -212,8 +212,7 @@ def test_non_finite_levels_rejected_by_name(check, levels):
         check(*levels)
 
 
-# Each pair holds one negative level.  The MF kernel used to return
-# finite SINRs for them, and the MMSE kernel a NumericalError for q < 0.
+# Each pair holds one negative level.
 _NEGATIVE_LEVELS = {"q": (-1.0, SIGMA2), "sigma2": (Q, -5.0)}
 
 

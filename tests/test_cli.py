@@ -78,8 +78,7 @@ def test_system_config_refuses_non_finite_levels_by_name(key, value):
 
 @pytest.mark.parametrize("n, taps", [(16, 2), (64, 8), (256, 32), (4, 1)])
 def test_tap_count_defaults_to_an_eighth_of_the_band(n, taps):
-    # SystemConfig used to default to 32 taps whatever N was, so N = 16
-    # was refused and N = 64 got 32 taps where the CLI gave 8.
+    # The library and the CLI derive the same count.
     assert SystemConfig(n_subcarriers=n).multipath_taps == taps
     assert parse_config(None, [f"subcarriers={n}"]).system.multipath_taps == taps
     assert SystemConfig().replace(n_subcarriers=n).multipath_taps == taps
@@ -237,7 +236,7 @@ def test_configured_grid_is_what_sweep_snr_sweeps(tmp_path):
 
 
 def test_sweep_parameter_key_exits_2_naming_it(tmp_path, capsys):
-    # The sweep command decides what it sweeps; the key was dropped.
+    # The sweep command decides what it sweeps.
     args = ["--out", str(tmp_path), "--set", "sweep.parameter=alpha", "sweep-load"]
     assert main(args) == EXIT_CONFIG
     assert "sweep.parameter" in capsys.readouterr().err
