@@ -33,7 +33,6 @@ from .asymptotics import (
 )
 from .cdma import (
     InterferenceProfile,
-    SinrReport,
     effective_signatures,
     gen_spreading_codes,
     mf_sinr_exact,
@@ -57,7 +56,6 @@ __all__ = [
     "NumericalError",
     "PowerAllocation",
     "RefarmError",
-    "SinrReport",
     "SolverOptions",
     "SystemConfig",
     "db_to_linear",

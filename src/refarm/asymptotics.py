@@ -38,7 +38,6 @@ class MarginResult:
 
     alpha_star: float
     margin: float
-    receiver: str
     feasible: bool
 
 
@@ -93,37 +92,28 @@ def mf_asymptotic_uniform(alpha, q, mean_interference, sigma2) -> float:
     return q / (alpha * q + mean_interference + sigma2)
 
 
-def _iterate_fixed_point(update, x0, tol, max_iter):
-    if max_iter < 1:
-        raise InvalidParameterError("max_iter must be >= 1")
+def _iterate_fixed_point(update, x0):
     x = x0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
         x_next = update(x)
         residual = float(
             np.max(np.abs(x_next - x) / np.maximum(1.0, np.abs(x_next)))
         )
         x = x_next
-        if residual <= tol:
+        if residual <= FIXED_POINT_TOL:
             return x, iteration, residual
     raise NumericalError(
-        f"fixed point did not converge in {max_iter} iterations (residual {residual:.3e})"
+        f"fixed point did not converge in {FIXED_POINT_MAX_ITER} iterations"
+        f" (residual {residual:.3e})"
     )
 
 
-def mmse_fixed_point_selective(
-    channels: ChannelSet,
-    q,
-    profile,
-    sigma2,
-    tol: float = FIXED_POINT_TOL,
-    max_iter: int = FIXED_POINT_MAX_ITER,
-    x0=None,
-) -> FixedPointSolution:
+def mmse_fixed_point_selective(channels: ChannelSet, q, profile, sigma2) -> FixedPointSolution:
     """Coupled per-user MMSE SINR limits for explicit channel responses.
 
-    Jacobi-style successive substitution on all users simultaneously; the
-    map is monotone with a unique positive fixed point, so any start in
-    (0, q/sigma2] converges to the same solution.
+    Jacobi-style successive substitution on all users simultaneously,
+    started at q/sigma2; the map is monotone with a unique positive fixed
+    point, so any start in (0, q/sigma2] converges to the same solution.
     """
     _validate_positive(q=q, sigma2=sigma2)
     gains = channels.cdma_gains
@@ -131,25 +121,17 @@ def mmse_fixed_point_selective(
     if n_users < 1:
         raise InvalidParameterError("need at least one CDMA user")
     prof = profile_array(profile, n)
-    start = np.full(n_users, q / sigma2 if x0 is None else x0, dtype=float)
+    start = np.full(n_users, q / sigma2, dtype=float)
 
     def update(x):
         shared = (q / n) * (gains.T @ (1.0 / (1.0 + x)))  # per-subcarrier denominator
         return (gains @ (q / (shared + prof + sigma2))) / n
 
-    value, iterations, residual = _iterate_fixed_point(update, start, tol, max_iter)
+    value, iterations, residual = _iterate_fixed_point(update, start)
     return FixedPointSolution(value=value, iterations=iterations, residual=residual)
 
 
-def mmse_fixed_point_uniform(
-    alpha,
-    q,
-    profile,
-    sigma2,
-    tol: float = FIXED_POINT_TOL,
-    max_iter: int = FIXED_POINT_MAX_ITER,
-    x0: float | None = None,
-) -> FixedPointSolution:
+def mmse_fixed_point_uniform(alpha, q, profile, sigma2, x0=None) -> FixedPointSolution:
     """Scalar MMSE SINR limit under rich multipath.
 
     ``profile`` may be an InterferenceProfile, a length-N vector, a scalar
@@ -166,7 +148,7 @@ def mmse_fixed_point_uniform(
     def update(x):
         return float(np.mean(q / (alpha * q / (1.0 + x) + prof + sigma2)))
 
-    value, iterations, residual = _iterate_fixed_point(update, start, tol, max_iter)
+    value, iterations, residual = _iterate_fixed_point(update, start)
     return FixedPointSolution(value=value, iterations=iterations, residual=residual)
 
 
@@ -197,7 +179,6 @@ def interference_margin(alpha, q, sigma2, beta_star, receiver: str) -> MarginRes
     return MarginResult(
         alpha_star=alpha_star,
         margin=margin if feasible else 0.0,
-        receiver=receiver,
         feasible=feasible,
     )
 

@@ -104,7 +104,7 @@ def _substream_normals(seq: np.random.SeedSequence, n_children: int, size: int) 
     ``n_children_spawned`` is read-only, so unlike ``seq.spawn`` this does
     not advance it: a later ``seq.spawn`` returns these same children
     again.  Raises InvalidParameterError unless ``seq`` is a SeedSequence
-    (None stands for the side of a generator other than PCG64).
+    (None stands for a side of any generator but a SeedSequence-seeded PCG64).
     """
     if type(seq) is not np.random.SeedSequence:
         raise InvalidParameterError(
@@ -179,11 +179,6 @@ class ChannelSet:
 
     cdma: np.ndarray
     ofdma: np.ndarray
-    model: str
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.cdma.shape[1] if self.cdma.size else self.ofdma.shape[1]
 
     @property
     def cdma_gains(self) -> np.ndarray:
@@ -226,9 +221,9 @@ def gen_channel_set(cfg: SystemConfig, model: str, rng: np.random.Generator) -> 
     """
     if model not in CHANNEL_MODELS:
         raise InvalidParameterError(f"unknown channel model {model!r}")
-    sides = rng.bit_generator.seed_seq.spawn(2)
-    if type(rng.bit_generator) is not np.random.PCG64:
-        sides = (None, None)  # refused where a side draws
+    seq = rng.bit_generator.seed_seq if type(rng.bit_generator) is np.random.PCG64 else None
+    # Only a SeedSequence spawns the sides; None is refused where a side draws.
+    sides = seq.spawn(2) if type(seq) is np.random.SeedSequence else (None, None)
     cdma = _user_responses(cfg.cdma_users, cfg.n_subcarriers, cfg.multipath_taps, model, sides[0])
     ofdma = _user_responses(cfg.ofdma_users, cfg.n_subcarriers, cfg.multipath_taps, model, sides[1])
-    return ChannelSet(cdma=cdma, ofdma=ofdma, model=model)
+    return ChannelSet(cdma=cdma, ofdma=ofdma)

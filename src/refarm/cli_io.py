@@ -54,12 +54,12 @@ class RunSettings:
     """Fully resolved configuration for one CLI invocation."""
 
     system: SystemConfig
-    receiver: str = "mf"
-    channel_model: str = "selective"
-    grid: tuple = ()  # empty: the sweep command's DEFAULT_GRIDS entry
-    trials: int = 200
-    solver: SolverOptions = field(default_factory=SolverOptions)
-    raw: dict = field(default_factory=dict, compare=False)
+    receiver: str
+    channel_model: str
+    grid: tuple  # empty: the sweep command's DEFAULT_GRIDS entry
+    trials: int
+    solver: SolverOptions
+    raw: dict = field(compare=False)
 
 
 # Each grid point is a full sweep point: one allocation solve plus
@@ -128,12 +128,10 @@ def _locate_key(name: str):
         if section not in _SECTIONS or key not in _SECTIONS[section]:
             raise ConfigError(f"unknown key {name!r}")
         return section, key
-    hits = [(s, name) for s, keys in _SECTIONS.items() if name in keys]
-    if not hits:
-        raise ConfigError(f"unknown key {name!r}")
-    if len(hits) > 1:  # pragma: no cover - current schema has no duplicates
-        raise ConfigError(f"ambiguous key {name!r}; qualify as section.key")
-    return hits[0]
+    for section, keys in _SECTIONS.items():
+        if name in keys:
+            return section, name
+    raise ConfigError(f"unknown key {name!r}")
 
 
 def parse_config(path=None, overrides=()) -> RunSettings:

@@ -294,8 +294,8 @@ def test_criterion_9_property_suites():
     base = mf_filter_output_sinr(sigs, sigs, cfg.q, profile, 1.0)
     scaled = mf_filter_output_sinr((2.0 + 1.0j) * sigs, sigs, cfg.q, profile, 1.0)
     np.testing.assert_allclose(scaled, base, rtol=1e-10)
-    mf = mf_sinr_exact(sigs, cfg.q, profile, 1.0).per_user
-    mmse = mmse_sinr_exact(sigs, cfg.q, profile, 1.0).per_user
+    mf = mf_sinr_exact(sigs, cfg.q, profile, 1.0)
+    mmse = mmse_sinr_exact(sigs, cfg.q, profile, 1.0)
     assert np.all(mmse >= mf * (1.0 - 1e-10))
     report(9, "Parseval, mean-profile bound, feasibility shortcut, filter-scale "
               "invariance and MMSE dominance all hold")

@@ -6,13 +6,10 @@ import pytest
 
 from refarm import (
     AllocationProblem,
-    ChannelSet,
     InvalidParameterError,
     SolverOptions,
     SystemConfig,
     gen_channel_set,
-    mmse_fixed_point_selective,
-    mmse_fixed_point_uniform,
     solve_p1,
     solve_p2_waterfill,
     solve_p3_channel_inverse,
@@ -451,16 +448,8 @@ def test_solver_trivial_when_nothing_to_give():
     [
         (lambda: SolverOptions(max_iterations=0), "max_iterations"),
         (lambda: SolverOptions(gap_tolerance=0.0), "gap_tolerance"),
-        (lambda: mmse_fixed_point_uniform(0.2, 100.0, None, 1.0, max_iter=0), "max_iter"),
-        (
-            lambda: mmse_fixed_point_selective(
-                ChannelSet(np.ones((2, 4), complex), np.zeros((0, 4)), "awgn"),
-                100.0, None, 1.0, max_iter=0,
-            ),
-            "max_iter",
-        ),
     ],
-    ids=["max_iterations", "gap_tolerance", "uniform_max_iter", "selective_max_iter"],
+    ids=["max_iterations", "gap_tolerance"],
 )
 def test_iteration_limits_rejected_by_name(call, key):
     with pytest.raises(InvalidParameterError, match=key):

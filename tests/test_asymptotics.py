@@ -25,9 +25,7 @@ ROOT = (79.0 + np.sqrt(6641.0)) / 2.0  # unique positive root of x^2 - 79x - 100
 
 
 def flat_ones(n_users, n):
-    return ChannelSet(
-        cdma=np.ones((n_users, n), dtype=complex), ofdma=np.zeros((0, n)), model="awgn"
-    )
+    return ChannelSet(cdma=np.ones((n_users, n), dtype=complex), ofdma=np.zeros((0, n)))
 
 
 # --- matched filter limits --------------------------------------------------
@@ -71,7 +69,7 @@ def test_mf_selective_tracks_monte_carlo():
     means = []
     for _ in range(60):
         sigs = effective_signatures(gen_spreading_codes(51, 256, rng), channels)
-        means.append(mf_sinr_exact(sigs, Q, None, SIGMA2).mean)
+        means.append(mf_sinr_exact(sigs, Q, None, SIGMA2).mean())
     assert abs(np.mean(means) - predicted.mean()) / predicted.mean() < 0.05
 
 
@@ -167,7 +165,6 @@ def test_mf_selective_flat_reduction_chain():
     flat = ChannelSet(
         cdma=np.tile(scalars[:, None], (1, n)).astype(complex),
         ofdma=np.zeros((0, n)),
-        model="flat",
     )
     values = mf_asymptotic_selective(flat, Q, None, SIGMA2)
     gains = scalars**2

@@ -31,7 +31,6 @@ def awgn_channels(n_users, n, k_ofdma=0):
     return ChannelSet(
         cdma=np.ones((n_users, n), dtype=complex),
         ofdma=np.ones((k_ofdma, n), dtype=complex),
-        model="awgn",
     )
 
 
@@ -68,9 +67,7 @@ def test_awgn_signatures_keep_unit_norm():
 
 def test_flat_channel_scales_signature_power():
     codes = gen_spreading_codes(1, 32, np.random.default_rng(3))
-    channels = ChannelSet(
-        cdma=np.full((1, 32), 2.0 + 0j), ofdma=np.zeros((0, 32)), model="flat"
-    )
+    channels = ChannelSet(cdma=np.full((1, 32), 2.0 + 0j), ofdma=np.zeros((0, 32)))
     sigs = effective_signatures(codes, channels)
     assert np.sum(np.abs(sigs) ** 2) == pytest.approx(4.0, rel=1e-12)
 
@@ -109,14 +106,14 @@ def test_mf_single_user_no_interference():
     codes = gen_spreading_codes(1, 16, np.random.default_rng(6))
     sigs = effective_signatures(codes, awgn_channels(1, 16))
     report = mf_sinr_exact(sigs, Q, InterferenceProfile.zero(16), SIGMA2)
-    assert report.per_user[0] == pytest.approx(Q / SIGMA2, rel=1e-12)
+    assert report[0] == pytest.approx(Q / SIGMA2, rel=1e-12)
 
 
 def test_mf_orthogonal_codes_see_no_cross_term():
     codes = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
     sigs = effective_signatures(codes, awgn_channels(2, 2))
     report = mf_sinr_exact(sigs, Q, InterferenceProfile.zero(2), SIGMA2)
-    np.testing.assert_allclose(report.per_user, [Q, Q], rtol=1e-10)
+    np.testing.assert_allclose(report, [Q, Q], rtol=1e-10)
 
 
 def test_mf_awgn_monte_carlo_matches_load_formula():
@@ -131,7 +128,7 @@ def test_mf_awgn_monte_carlo_matches_load_formula():
     for _ in range(200):
         codes = gen_spreading_codes(n_users, n, rng)
         sigs = effective_signatures(codes, channels)
-        means.append(mf_sinr_exact(sigs, Q, profile, SIGMA2).mean)
+        means.append(mf_sinr_exact(sigs, Q, profile, SIGMA2).mean())
     assert abs(np.mean(means) - reference) / reference < 0.05
 
 
@@ -145,7 +142,7 @@ def test_mf_scale_invariant_in_the_filter():
     scaled = mf_filter_output_sinr((0.3 - 2.0j) * sigs, sigs, Q, profile, SIGMA2)
     np.testing.assert_allclose(scaled, base, rtol=1e-10)
     np.testing.assert_allclose(
-        mf_sinr_exact(sigs, Q, profile, SIGMA2).per_user, base, rtol=1e-12
+        mf_sinr_exact(sigs, Q, profile, SIGMA2), base, rtol=1e-12
     )
 
 
@@ -226,7 +223,22 @@ def test_negative_levels_rejected_by_name(check, levels):
 @pytest.mark.parametrize("check", _LEVEL_CHECKS.values(), ids=_LEVEL_CHECKS.keys())
 def test_zero_q_gives_zero_sinr(check):
     result = check(0.0, SIGMA2)
-    np.testing.assert_array_equal(getattr(result, "per_user", result), 0.0)
+    np.testing.assert_array_equal(result, 0.0)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_mf_with_no_noise_and_nothing_else_at_the_filter_is_refused_by_name(q):
+    # One user, no profile and sigma2 = 0 would give 0/0 at q = 0 and q/0
+    # otherwise.
+    with pytest.raises(InvalidParameterError, match="sigma2"):
+        mf_sinr_exact(np.eye(1, 4, dtype=complex), q, None, 0.0)
+
+
+def test_mf_without_noise_is_defined_when_another_user_interferes():
+    # f_0^H e_1 = f_1^H e_0 = 1: desired powers 4 and 1 against one unit of
+    # interference each.
+    sigs = np.array([[1, 1, 0, 0], [1, 0, 0, 0]], dtype=complex)
+    np.testing.assert_array_equal(mf_sinr_exact(sigs, 1.0, None, 0.0), [4.0, 1.0])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -265,14 +277,14 @@ def test_mmse_single_user_equals_matched_filter():
     codes = gen_spreading_codes(1, 16, np.random.default_rng(9))
     sigs = effective_signatures(codes, awgn_channels(1, 16))
     report = mmse_sinr_exact(sigs, Q, InterferenceProfile.zero(16), SIGMA2)
-    assert report.per_user[0] == pytest.approx(Q / SIGMA2, rel=1e-10)
+    assert report[0] == pytest.approx(Q / SIGMA2, rel=1e-10)
 
 
 def test_mmse_orthogonal_codes():
     codes = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
     sigs = effective_signatures(codes, awgn_channels(2, 2))
     report = mmse_sinr_exact(sigs, Q, InterferenceProfile.zero(2), SIGMA2)
-    np.testing.assert_allclose(report.per_user, [Q, Q], rtol=1e-10)
+    np.testing.assert_allclose(report, [Q, Q], rtol=1e-10)
 
 
 def test_mmse_awgn_monte_carlo_matches_fixed_point():
@@ -287,7 +299,7 @@ def test_mmse_awgn_monte_carlo_matches_fixed_point():
     for _ in range(100):
         codes = gen_spreading_codes(n_users, n, rng)
         sigs = effective_signatures(codes, channels)
-        means.append(mmse_sinr_exact(sigs, Q, profile, SIGMA2).mean)
+        means.append(mmse_sinr_exact(sigs, Q, profile, SIGMA2).mean())
     assert abs(np.mean(means) - root) / root < 0.10
 
 
@@ -310,14 +322,14 @@ def _random_instance(seed, n=64, n_users=13, taps=8):
 def test_mmse_dominates_mf_per_realization():
     for seed in range(5):
         sigs, profile = _random_instance(seed)
-        mf = mf_sinr_exact(sigs, Q, profile, SIGMA2).per_user
-        mmse = mmse_sinr_exact(sigs, Q, profile, SIGMA2).per_user
+        mf = mf_sinr_exact(sigs, Q, profile, SIGMA2)
+        mmse = mmse_sinr_exact(sigs, Q, profile, SIGMA2)
         assert np.all(mmse >= mf * (1 - 1e-10))
 
 
 def test_mmse_below_interference_free_bound():
     sigs, profile = _random_instance(42)
-    mmse = mmse_sinr_exact(sigs, Q, profile, SIGMA2).per_user
+    mmse = mmse_sinr_exact(sigs, Q, profile, SIGMA2)
     noise = profile.per_subcarrier + SIGMA2
     bound = Q * np.sum(np.abs(sigs) ** 2 / noise[None, :], axis=1)
     assert np.all(mmse < bound)
@@ -328,8 +340,8 @@ def test_more_interference_never_helps():
     bumped = profile.per_subcarrier.copy()
     bumped[7] += 2.5
     for solver in (mf_sinr_exact, mmse_sinr_exact):
-        before = solver(sigs, Q, profile, SIGMA2).per_user
-        after = solver(sigs, Q, InterferenceProfile(bumped), SIGMA2).per_user
+        before = solver(sigs, Q, profile, SIGMA2)
+        after = solver(sigs, Q, InterferenceProfile(bumped), SIGMA2)
         assert np.all(after <= before * (1 + 1e-12))
 
 
@@ -358,7 +370,7 @@ def test_mmse_matches_chip_space_reference(n_users, monkeypatch):
     monkeypatch.setattr(cdma, other, wrong_path)
     report = mmse_sinr_exact(sigs, Q, profile, SIGMA2)
     np.testing.assert_allclose(
-        report.per_user, _chip_space_reference(sigs, Q, prof, SIGMA2), rtol=1e-10
+        report, _chip_space_reference(sigs, Q, prof, SIGMA2), rtol=1e-10
     )
 
 
@@ -371,7 +383,7 @@ def test_mmse_matches_chip_space_reference_at_n_256(n_users):
     prof = profile.per_subcarrier
     report = mmse_sinr_exact(sigs, Q, profile, SIGMA2)
     np.testing.assert_allclose(
-        report.per_user, _chip_space_reference(sigs, Q, prof, SIGMA2), rtol=1e-10
+        report, _chip_space_reference(sigs, Q, prof, SIGMA2), rtol=1e-10
     )
 
 
@@ -381,9 +393,9 @@ def _kernel_results(n_users, n, seed):
     return [
         sigs,
         effective_signatures(codes, awgn_channels(n_users, n)),
-        mf_sinr_exact(sigs, Q, profile, SIGMA2).per_user,
+        mf_sinr_exact(sigs, Q, profile, SIGMA2),
         mf_filter_output_sinr(2.0 * sigs, sigs, Q, profile, SIGMA2),
-        mmse_sinr_exact(sigs, Q, profile, SIGMA2).per_user,
+        mmse_sinr_exact(sigs, Q, profile, SIGMA2),
     ]
 
 
@@ -511,8 +523,8 @@ def test_sinr_concentrates_across_code_draws():
     means = {"mf": [], "mmse": []}
     for _ in range(100):
         sigs = effective_signatures(gen_spreading_codes(n_users, n, rng), channels)
-        means["mf"].append(mf_sinr_exact(sigs, Q, profile, SIGMA2).mean)
-        means["mmse"].append(mmse_sinr_exact(sigs, Q, profile, SIGMA2).mean)
+        means["mf"].append(mf_sinr_exact(sigs, Q, profile, SIGMA2).mean())
+        means["mmse"].append(mmse_sinr_exact(sigs, Q, profile, SIGMA2).mean())
     for values in means.values():
         assert np.std(values) / np.mean(values) < 0.10
 
@@ -540,7 +552,7 @@ def test_symbol_level_sinr_matches_exact_formula(receiver):
     profile = InterferenceProfile.zero(64)
     exact = (mf_sinr_exact if receiver == "mf" else mmse_sinr_exact)(
         sigs, cfg.q, profile, cfg.sigma2
-    ).per_user
+    )
     measured = simulate_uplink_frame(
         cfg, codes, channels, None, rng, receiver=receiver, n_slots=4000
     )
@@ -571,7 +583,7 @@ def test_symbol_level_with_ofdma_interference_protects_target():
     )
     sigs = effective_signatures(codes, channels)
     profile = InterferenceProfile.from_allocation(result.allocation.powers, channels.ofdma_gains)
-    exact = mf_sinr_exact(sigs, cfg.q, profile, cfg.sigma2).per_user
+    exact = mf_sinr_exact(sigs, cfg.q, profile, cfg.sigma2)
     assert np.all(np.abs(measured.per_user - exact) <= 3.5 * measured.stderr)
     assert abs(measured.mean / cfg.beta_star - 1.0) < 0.08
 

@@ -177,6 +177,22 @@ def test_channel_set_refuses_a_generator_it_cannot_reproduce():
         gen_channel_set(cfg, "selective", rng)
 
 
+@pytest.mark.parametrize("model", ["selective", "flat", "awgn"])
+def test_channel_set_from_a_generator_with_no_seed_sequence(model):
+    # A Generator over a RandomState's stream has no SeedSequence to spawn
+    # the sides from: the drawing models refuse it by name, and AWGN draws
+    # nothing.
+    cfg = SystemConfig(n_subcarriers=8, cdma_users=2, ofdma_users=1, multipath_taps=2)
+    rng = np.random.Generator(np.random.RandomState(0)._bit_generator)
+    if model == "awgn":
+        channels = gen_channel_set(cfg, model, rng)
+        np.testing.assert_array_equal(channels.cdma, np.ones((2, 8)))
+        np.testing.assert_array_equal(channels.ofdma, np.ones((1, 8)))
+    else:
+        with pytest.raises(InvalidParameterError, match="PCG64"):
+            gen_channel_set(cfg, model, rng)
+
+
 def test_channel_set_rejects_more_taps_than_subcarriers():
     cfg = SystemConfig(n_subcarriers=8, cdma_users=2, ofdma_users=1, multipath_taps=8)
     cfg.multipath_taps = 9  # past SystemConfig's own check

@@ -9,6 +9,7 @@ import pytest
 
 import refarm
 from refarm import ConfigError, InvalidParameterError, SystemConfig, db_to_linear
+from refarm import cli_io
 from refarm.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from refarm.cli_io import DEFAULT_GRIDS, emit_csv, format_value, parse_config
 
@@ -41,6 +42,42 @@ def test_overrides_are_applied():
     assert settings.system.alpha == 0.4
     assert settings.receiver == "mmse"
     assert settings.trials == 7
+
+
+# One non-default value per config key.  Each must change what
+# parse_config returns, so a key that nothing reads fails the suite.
+_NON_DEFAULT_VALUES = {
+    "system.subcarriers": "128",
+    "system.alpha": "0.3",
+    "system.cdma_users": "40",
+    "system.ofdma_users": "3",
+    "system.multipath": "16",
+    "system.receive_snr_db": "15",
+    "system.target_sinr_db": "3",
+    "system.noise_power": "2",
+    "system.power_cap_db": "25",
+    "system.receiver": "mmse",
+    "system.channel_model": "flat",
+    "sweep.grid": "0.1,0.2",
+    "sweep.trials": "50",
+    "solver.max_iterations": "100",
+    "solver.gap_tolerance": "1e-4",
+}
+
+
+def test_non_default_table_covers_every_config_key():
+    keys = [f"{section}.{key}" for section, keys in cli_io._SECTIONS.items() for key in keys]
+    assert sorted(keys) == sorted(_NON_DEFAULT_VALUES)
+    # A bare name resolves to the first section that has it.
+    bare = [key.split(".")[1] for key in keys]
+    assert len(set(bare)) == len(bare)
+
+
+@pytest.mark.parametrize("key", _NON_DEFAULT_VALUES)
+def test_every_config_key_changes_the_run_settings(key):
+    # RunSettings compares without ``raw``, the resolved text of every key.
+    changed = parse_config(None, [f"{key}={_NON_DEFAULT_VALUES[key]}"])
+    assert changed != parse_config(None)
 
 
 def test_unknown_key_is_named():

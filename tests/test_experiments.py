@@ -142,8 +142,8 @@ def test_snapshot_light_single_user_equals_waterfill():
 
 
 def test_validation_table_consistency():
-    rows = run_sinr_validation(SMALL, trials=100, seed=13, models=("awgn",))
-    assert len(rows) == 2
+    rows = run_sinr_validation(SMALL, trials=100, seed=13)
+    assert len(rows) == 4
     for row in rows:
         assert row["relative_error"] == pytest.approx(
             abs(row["sinr_empirical_mean"] - row["sinr_theory"]) / row["sinr_theory"]
