@@ -142,8 +142,8 @@ def mmse_fixed_point_uniform(alpha, q, profile, sigma2, x0=None) -> FixedPointSo
         raise InvalidParameterError("alpha must be >= 0")
     prof = profile_array(profile)
     start = q / sigma2 if x0 is None else float(x0)
-    if start <= 0:
-        raise InvalidParameterError("start point must be > 0")
+    if not 0 < start < np.inf:
+        raise InvalidParameterError("start point x0 must be finite and > 0")
 
     def update(x):
         return float(np.mean(q / (alpha * q / (1.0 + x) + prof + sigma2)))

@@ -6,6 +6,14 @@ independent substreams spawned off the master generator, so grid points
 and trials can run in any order (or in parallel) without changing the
 result.
 
+Monte Carlo trials do run in parallel.  ``empirical_cdma_sinr`` hands a
+contiguous slice of its trials to each of a pool of worker processes,
+one per usable CPU, each with BLAS on one thread.  The pool is spawned at
+the first call with two or more trials, and stops at interpreter exit.
+As with any spawned pool, a script that runs trials must keep its
+top-level code under ``if __name__ == "__main__":``, because each worker
+imports the script's main module.
+
 Information flow mirrors the deployment split: the allocator sees only
 the CDMA design parameters (load, receive SNR, target SINR) through the
 margin, and the CDMA-side evaluation sees only the interference profile
@@ -14,6 +22,9 @@ produced by the resulting allocation.
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +49,12 @@ from .errors import InvalidParameterError
 
 #: Master seed used by the command-line interface when none is given.
 DEFAULT_SEED = 42
+
+#: Environment variables that set the BLAS thread count in a worker process.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_pool = None  # the Monte Carlo worker pool, started at first use
+_pool_lock = threading.Lock()
 
 #: Light/heavy operating points for the trace and snapshot studies,
 #: expressed as fractions of the receiver's own supportable load.  At the
@@ -91,25 +108,15 @@ class SweepResult:
         return np.asarray([row[name] for row in self.rows], dtype=float)
 
 
-def empirical_cdma_sinr(cfg: SystemConfig, profile, receiver, model, trials, rng):
-    """Monte Carlo mean/std of the exact per-user SINR across random draws.
+def _trial_means(cfg, profile, receiver, model, bit_generator, trial_seqs):
+    """Mean exact SINR over users, for each trial's SeedSequence in order.
 
-    Each trial draws fresh spreading codes and channels, evaluates the
-    exact finite-dimension formula against the given interference profile
-    and averages over users; the returned std is across trial means.
+    Each trial's two children seed its spreading codes and its channels.
+    The same function runs in-process and in the worker processes.
     """
-    if cfg.cdma_users == 0:
-        return float("nan"), float("nan"), np.array([])
     cdma_only = cfg.replace(ofdma_users=0)
-    trial_means = np.empty(trials)
-    # Trials run one at a time: batching them ran at 0.88-1.07 times the
-    # speed, and a second thread at 0.77-1.18 times on the MMSE kernel,
-    # whose scipy BLAS and LAPACK wrappers keep the GIL (2-vCPU Xeon, one
-    # BLAS thread).  Nothing draws from a trial's own stream, so it is
-    # spawned as a SeedSequence; its two children are the Generators that
-    # rng.spawn(trials)[i].spawn(2) would give.
-    bit_generator = type(rng.bit_generator)
-    for i, trial_seq in enumerate(rng.bit_generator.seed_seq.spawn(trials)):
+    means = np.empty(len(trial_seqs))
+    for i, trial_seq in enumerate(trial_seqs):
         code_rng, chan_rng = (np.random.Generator(bit_generator(s)) for s in trial_seq.spawn(2))
         codes = gen_spreading_codes(cfg.cdma_users, cfg.n_subcarriers, code_rng)
         channels = gen_channel_set(cdma_only, model, chan_rng)
@@ -118,7 +125,112 @@ def empirical_cdma_sinr(cfg: SystemConfig, profile, receiver, model, trials, rng
             per_user = mf_sinr_exact(signatures, cfg.q, profile, cfg.sigma2)
         else:
             per_user = mmse_sinr_exact(signatures, cfg.q, profile, cfg.sigma2)
-        trial_means[i] = np.mean(per_user)
+        means[i] = np.mean(per_user)
+    return means
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _init_worker():
+    """Leave Ctrl-C to the caller, and exit when the caller is gone.
+
+    A worker idles on a queue that it holds both ends of, so it would
+    outlive a caller killed by a signal without the watch thread.
+    """
+    import multiprocessing
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    caller = multiprocessing.parent_process()
+    threading.Thread(target=lambda: (caller.join(), os._exit(1)), daemon=True).start()
+
+
+def _map_in_workers(fn, args, chunks):
+    """``[fn(*args, chunk) for chunk in chunks]``, one chunk per worker process.
+
+    The pool starts at the first call, with up to one spawned worker per
+    usable CPU, and stops at interpreter exit.  Workers start on demand inside
+    ``submit``, so BLAS is pinned to one thread in ``os.environ`` around
+    the submits only, and the caller's values are put back.  Ctrl-C
+    stops the caller, which waits for the running chunks at exit.  A
+    dead worker breaks the pool: the call raises BrokenProcessPool and
+    the next call starts a new pool.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    global _pool
+    try:
+        with _pool_lock:
+            if _pool is None:
+                _pool = ProcessPoolExecutor(
+                    _usable_cpus(),
+                    mp_context=multiprocessing.get_context("spawn"),
+                    initializer=_init_worker,
+                )
+            pool = _pool
+            saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+            os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+            try:
+                futures = [pool.submit(fn, *args, chunk) for chunk in chunks]
+            finally:
+                for name, value in saved.items():
+                    if value is None:
+                        del os.environ[name]
+                    else:
+                        os.environ[name] = value
+        # Every chunk ends before any result is read, so a call that raises
+        # leaves no chunk of its own running.
+        wait(futures)
+        return [future.result() for future in futures]
+    except BrokenProcessPool:
+        with _pool_lock:
+            if _pool is pool:
+                _pool = None
+        raise
+
+
+def empirical_cdma_sinr(cfg: SystemConfig, profile, receiver, model, trials, rng):
+    """Monte Carlo mean/std of the exact per-user SINR across random draws.
+
+    Each trial draws fresh spreading codes and channels, evaluates the
+    exact finite-dimension formula against the given interference profile
+    and averages over users; the returned std is across trial means.
+    ``rng`` must be seeded from a SeedSequence, which spawns one child per
+    trial.
+    """
+    seed_seq = getattr(rng.bit_generator, "seed_seq", None)
+    if not isinstance(seed_seq, np.random.SeedSequence):
+        raise InvalidParameterError("rng must be seeded from a SeedSequence, to spawn the trials")
+    if cfg.cdma_users == 0:
+        return float("nan"), float("nan"), np.array([])
+    # Nothing draws from a trial's own stream, so it is spawned as a
+    # SeedSequence; its two children are the Generators that
+    # rng.spawn(trials)[i].spawn(2) would give.  Trials run in worker
+    # processes, a contiguous slice each, and come back in trial order, so
+    # every bit matches a serial run.  Processes, because in one process
+    # batching trials ran at 0.88-1.07 times the speed, and a second
+    # thread at 0.77-1.18 times on the MMSE kernel, whose scipy BLAS and
+    # LAPACK wrappers keep the GIL.  Two worker processes ran the
+    # benchmark's load sweep at 1.42 times the points per second and its
+    # validation at 1.45 times the trials per second (2-vCPU Xeon, one
+    # BLAS thread).  Spawned, not forked: a fork of a caller with
+    # unpinned BLAS threads ran the MMSE sweep 2-2.5 times slower than
+    # serial.
+    trial_seqs = seed_seq.spawn(trials)
+    args = (cfg, profile, receiver, model, type(rng.bit_generator))
+    workers = min(_usable_cpus(), trials)
+    if workers < 2:
+        trial_means = _trial_means(*args, trial_seqs)
+    else:
+        bounds = [i * trials // workers for i in range(workers + 1)]
+        chunks = [trial_seqs[a:b] for a, b in zip(bounds, bounds[1:])]
+        trial_means = np.concatenate(_map_in_workers(_trial_means, args, chunks))
     return float(trial_means.mean()), float(trial_means.std()), trial_means
 
 

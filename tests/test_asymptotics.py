@@ -100,6 +100,12 @@ def test_uniform_fixed_point_start_invariance():
     assert max(values) - min(values) <= 1e-8 * max(values)
 
 
+@pytest.mark.parametrize("x0", [float("nan"), float("inf")])
+def test_uniform_fixed_point_refuses_a_non_finite_start(x0):
+    with pytest.raises(InvalidParameterError, match="x0"):
+        mmse_fixed_point_uniform(0.2, Q, None, SIGMA2, x0=x0)
+
+
 def test_uniform_map_monotone_from_below():
     profile = np.array([0.0, 1.0, 4.0, 0.5])
     x = 1e-9
