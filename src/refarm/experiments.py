@@ -14,6 +14,16 @@ As with any spawned pool, a script that runs trials must keep its
 top-level code under ``if __name__ == "__main__":``, because each worker
 imports the script's main module.
 
+A sweep overlaps its solves with the workers: it starts each point's
+trials as soon as that point's allocation is solved, goes on to solve
+the next point, and reads the trial means, in grid order, only after
+its last solve.  When each point waited for its own trials, the workers
+sat idle through every solve: on the benchmark's load sweep (2-vCPU
+Xeon, one BLAS thread) the solves took 0.49-0.57 s of a 3.55-3.94 s
+pass, and the Monte Carlo ran at only 1.57 times its serial speed.
+Overlapped, the sweep runs 1.22 times the points per second (median of
+10 paired runs).
+
 Information flow mirrors the deployment split: the allocator sees only
 the CDMA design parameters (load, receive SNR, target SINR) through the
 margin, and the CDMA-side evaluation sees only the interference profile
@@ -149,66 +159,108 @@ def _init_worker():
     threading.Thread(target=lambda: (caller.join(), os._exit(1)), daemon=True).start()
 
 
-def _map_in_workers(fn, args, chunks):
-    """``[fn(*args, chunk) for chunk in chunks]``, one chunk per worker process.
+#: Why a pool broke, where the cause is most often the caller's script.
+BROKEN_POOL_MESSAGE = (
+    "a Monte Carlo worker process died; a script that runs Monte Carlo trials "
+    "must keep its top-level code under 'if __name__ == \"__main__\":', "
+    "because each worker imports the script's main module"
+)
+
+
+def _submit_to_workers(fn, args, chunks):
+    """Submit ``fn(*args, chunk)`` for each chunk to the worker pool; return the futures.
 
     The pool starts at the first call, with up to one spawned worker per
     usable CPU, and stops at interpreter exit.  Workers start on demand inside
     ``submit``, so BLAS is pinned to one thread in ``os.environ`` around
-    the submits only, and the caller's values are put back.  Ctrl-C
-    stops the caller, which waits for the running chunks at exit.  A
-    dead worker breaks the pool: the call raises BrokenProcessPool and
-    the next call starts a new pool.
+    the submits only, and the caller's values are put back.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ProcessPoolExecutor(
+                _usable_cpus(),
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_init_worker,
+            )
+        saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        futures = []
+        try:
+            for chunk in chunks:
+                futures.append(_pool.submit(fn, *args, chunk))
+            return futures
+        except BrokenProcessPool as exc:
+            _pool = None
+            raise BrokenProcessPool(BROKEN_POOL_MESSAGE) from exc
+        except BaseException:  # Ctrl-C between two submits: no chunk is left behind
+            _cancel([futures])
+            raise
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    del os.environ[name]
+                else:
+                    os.environ[name] = value
+
+
+def _cancel(started):
+    """Cancel the queued chunks of each started call and wait for the running ones."""
+    futures = [future for chunks in started if isinstance(chunks, list) for future in chunks]
+    if futures:
+        from concurrent.futures import wait
+
+        for future in futures:
+            future.cancel()
+        wait(futures)
+
+
+def _gather(futures):
+    """The futures' results, in order.
+
+    If one raises, or the wait is interrupted, the rest are cancelled or
+    waited for before the error propagates, so none is left running.  A
+    dead worker breaks the pool: this raises BrokenProcessPool, and the
+    next call starts a new pool.
+    """
     from concurrent.futures.process import BrokenProcessPool
 
     global _pool
     try:
-        with _pool_lock:
-            if _pool is None:
-                _pool = ProcessPoolExecutor(
-                    _usable_cpus(),
-                    mp_context=multiprocessing.get_context("spawn"),
-                    initializer=_init_worker,
-                )
-            pool = _pool
-            saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-            os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-            try:
-                futures = [pool.submit(fn, *args, chunk) for chunk in chunks]
-            finally:
-                for name, value in saved.items():
-                    if value is None:
-                        del os.environ[name]
-                    else:
-                        os.environ[name] = value
-        # Every chunk ends before any result is read, so a call that raises
-        # leaves no chunk of its own running.
-        wait(futures)
         return [future.result() for future in futures]
-    except BrokenProcessPool:
+    except BaseException as exc:
+        _cancel([futures])
+        if not isinstance(exc, BrokenProcessPool):
+            raise
         with _pool_lock:
-            if _pool is pool:
+            if _pool is not None and _pool._broken:
                 _pool = None
-        raise
+        raise BrokenProcessPool(BROKEN_POOL_MESSAGE) from exc
 
 
-def empirical_cdma_sinr(cfg: SystemConfig, profile, receiver, model, trials, rng):
-    """Monte Carlo mean/std of the exact per-user SINR across random draws.
+def _map_in_workers(fn, args, chunks):
+    """``[fn(*args, chunk) for chunk in chunks]``, one chunk per worker process."""
+    return _gather(_submit_to_workers(fn, args, chunks))
 
-    Each trial draws fresh spreading codes and channels, evaluates the
-    exact finite-dimension formula against the given interference profile
-    and averages over users; the returned std is across trial means.
-    ``rng`` must be seeded from a SeedSequence, which spawns one child per
-    trial.
+
+def _start_trials(cfg: SystemConfig, profile, receiver, model, trials, rng):
+    """Start ``empirical_cdma_sinr``'s trials; ``_finish_trials`` reads them.
+
+    Returns the trial means, computed in-process, or the futures of the
+    worker processes that compute them, one per contiguous slice of the
+    trials.
     """
+    if trials < 1:
+        raise InvalidParameterError("trials must be >= 1")
     seed_seq = getattr(rng.bit_generator, "seed_seq", None)
     if not isinstance(seed_seq, np.random.SeedSequence):
         raise InvalidParameterError("rng must be seeded from a SeedSequence, to spawn the trials")
     if cfg.cdma_users == 0:
-        return float("nan"), float("nan"), np.array([])
+        return np.array([])
     # Nothing draws from a trial's own stream, so it is spawned as a
     # SeedSequence; its two children are the Generators that
     # rng.spawn(trials)[i].spawn(2) would give.  Trials run in worker
@@ -221,17 +273,36 @@ def empirical_cdma_sinr(cfg: SystemConfig, profile, receiver, model, trials, rng
     # validation at 1.45 times the trials per second (2-vCPU Xeon, one
     # BLAS thread).  Spawned, not forked: a fork of a caller with
     # unpinned BLAS threads ran the MMSE sweep 2-2.5 times slower than
-    # serial.
+    # serial.  Starting and finishing are two steps so that a sweep can
+    # solve its next point while the workers run this one's trials.
     trial_seqs = seed_seq.spawn(trials)
     args = (cfg, profile, receiver, model, type(rng.bit_generator))
     workers = min(_usable_cpus(), trials)
     if workers < 2:
-        trial_means = _trial_means(*args, trial_seqs)
-    else:
-        bounds = [i * trials // workers for i in range(workers + 1)]
-        chunks = [trial_seqs[a:b] for a, b in zip(bounds, bounds[1:])]
-        trial_means = np.concatenate(_map_in_workers(_trial_means, args, chunks))
+        return _trial_means(*args, trial_seqs)
+    bounds = [i * trials // workers for i in range(workers + 1)]
+    chunks = [trial_seqs[a:b] for a, b in zip(bounds, bounds[1:])]
+    return _submit_to_workers(_trial_means, args, chunks)
+
+
+def _finish_trials(started):
+    """Mean, std and per-trial means of the trials ``_start_trials`` started."""
+    trial_means = np.concatenate(_gather(started)) if isinstance(started, list) else started
+    if trial_means.size == 0:
+        return float("nan"), float("nan"), trial_means
     return float(trial_means.mean()), float(trial_means.std()), trial_means
+
+
+def empirical_cdma_sinr(cfg: SystemConfig, profile, receiver, model, trials, rng):
+    """Monte Carlo mean/std of the exact per-user SINR across random draws.
+
+    Each trial draws fresh spreading codes and channels, evaluates the
+    exact finite-dimension formula against the given interference profile
+    and averages over users; the returned std is across trial means.
+    ``rng`` must be seeded from a SeedSequence, which spawns one child per
+    trial; ``trials`` must be at least 1.
+    """
+    return _finish_trials(_start_trials(cfg, profile, receiver, model, trials, rng))
 
 
 def _theory_sinr(receiver, alpha, q, profile, sigma2):
@@ -290,7 +361,11 @@ def allocation_rows(alloc: PowerAllocation, gains: np.ndarray):
 
 
 def _sweep_point(cfg, receiver, model, trials, gains, rng, solver):
-    """Margin -> allocation -> profile -> theory + empirical, for one point."""
+    """Margin -> allocation -> profile -> theory for one point, and its trials started.
+
+    Returns the row, whose empirical cells are still NaN, and the started
+    trials, or None at an infeasible point.
+    """
     result, problem = _allocation_instance(cfg, receiver, gains)
     row = {
         "feasible": result.feasible,
@@ -302,34 +377,46 @@ def _sweep_point(cfg, receiver, model, trials, gains, rng, solver):
         "solver_iterations": 0,
     }
     if not result.feasible or result.margin <= 0:
-        return row
+        return row, None
     alloc, state, rate = solve_p1(problem, solver)
     profile = InterferenceProfile.from_allocation(alloc.powers, gains)
-    mean, std, _ = empirical_cdma_sinr(cfg, profile, receiver, model, trials, rng)
     row.update(
         ofdma_throughput=rate,
         cdma_sinr_theory=_theory_sinr(receiver, cfg.alpha, cfg.q, profile, cfg.sigma2),
-        cdma_sinr_empirical_mean=mean,
-        cdma_sinr_empirical_std=std,
         solver_iterations=state.iteration,
     )
-    return row
+    return row, _start_trials(cfg, profile, receiver, model, trials, rng)
 
 
 def _sweep(spec: SweepSpec, parameter: str, configs) -> SweepResult:
+    """Solve every point and start its trials, then read the trials in grid order.
+
+    A worker's error surfaces as the trials are read, so the first failing
+    point in grid order is the one reported.  Any error, Ctrl-C included,
+    cancels the chunks that have not started and waits for the running
+    ones before it propagates.
+    """
     master = np.random.default_rng(spec.seed)
     ofdma_rng, empirical_root = master.spawn(2)
     gains = gen_channel_set(
         spec.base.replace(cdma_users=0), spec.channel_model, ofdma_rng
     ).ofdma_gains
     point_rngs = empirical_root.spawn(len(configs))
-    rows = []
-    for value, cfg, rng in zip(spec.grid, configs, point_rngs):
-        row = {parameter: float(value)}
-        row.update(
-            _sweep_point(cfg, spec.receiver, spec.channel_model, spec.trials, gains, rng, spec.solver)
-        )
-        rows.append(row)
+    rows, started = [], []
+    try:
+        for value, cfg, rng in zip(spec.grid, configs, point_rngs):
+            row, trials = _sweep_point(
+                cfg, spec.receiver, spec.channel_model, spec.trials, gains, rng, spec.solver
+            )
+            rows.append({parameter: float(value), **row})
+            started.append(trials)
+        for row, trials in zip(rows, started):
+            if trials is not None:
+                mean, std, _ = _finish_trials(trials)
+                row.update(cdma_sinr_empirical_mean=mean, cdma_sinr_empirical_std=std)
+    except BaseException:
+        _cancel(started)
+        raise
     return SweepResult(rows=rows, columns=[parameter] + SWEEP_COLUMNS)
 
 
@@ -527,21 +614,30 @@ def run_sinr_validation(cfg: SystemConfig, trials: int = 200, seed: int = DEFAUL
         raise InvalidParameterError("validation needs at least 100 trials")
     prof = InterferenceProfile.zero(cfg.n_subcarriers)
     master = np.random.default_rng(seed)
-    rows = []
-    for receiver in RECEIVERS:
-        for model in ("awgn", "selective"):
-            theory = _theory_sinr(receiver, cfg.alpha, cfg.q, prof, cfg.sigma2)
-            mean, std, _ = empirical_cdma_sinr(cfg, prof, receiver, model, trials, master.spawn(1)[0])
-            rows.append(
-                {
-                    "receiver": receiver,
-                    "channel_model": model,
-                    "trials": trials,
-                    "sinr_theory": theory,
-                    "sinr_empirical_mean": mean,
-                    "sinr_empirical_std": std,
-                    "relative_error": abs(mean - theory) / theory,
-                    "spread_ratio": std / mean,
-                }
+    rows, started = [], []
+    try:
+        for receiver in RECEIVERS:
+            for model in ("awgn", "selective"):
+                rng = master.spawn(1)[0]
+                started.append(_start_trials(cfg, prof, receiver, model, trials, rng))
+                rows.append(
+                    {
+                        "receiver": receiver,
+                        "channel_model": model,
+                        "trials": trials,
+                        "sinr_theory": _theory_sinr(receiver, cfg.alpha, cfg.q, prof, cfg.sigma2),
+                    }
+                )
+        for row, trials_started in zip(rows, started):
+            mean, std, _ = _finish_trials(trials_started)
+            theory = row["sinr_theory"]
+            row.update(
+                sinr_empirical_mean=mean,
+                sinr_empirical_std=std,
+                relative_error=abs(mean - theory) / theory,
+                spread_ratio=std / mean,
             )
+    except BaseException:
+        _cancel(started)
+        raise
     return rows

@@ -6,15 +6,16 @@ import subprocess
 import sys
 import textwrap
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import refarm
-from refarm import InterferenceProfile, SystemConfig, experiments
+from refarm import InterferenceProfile, SolverOptions, SystemConfig, experiments
 from refarm.errors import InvalidParameterError, NumericalError
-from refarm.experiments import empirical_cdma_sinr
+from refarm.experiments import SweepSpec, empirical_cdma_sinr, run_load_sweep, run_snr_sweep
 
 SRC = str(Path(refarm.__file__).resolve().parent.parent)
 
@@ -29,13 +30,21 @@ def _in_process(cfg, profile, receiver, model, trials, seed):
     return experiments._trial_means(cfg, profile, receiver, model, np.random.PCG64, seqs)
 
 
-def _python(code, **kwargs):
-    """Run ``code`` in a fresh interpreter that imports this checkout's refarm."""
+def _python(code, *, script=None, **kwargs):
+    """Run ``code`` in a fresh interpreter that imports this checkout's refarm.
+
+    With ``script``, the code is written to that file and run as a script.
+    """
     env = dict(os.environ, PYTHONPATH=SRC)
     for name in experiments.BLAS_THREAD_VARS:
         env.pop(name, None)
+    if script is None:
+        source = ["-c", textwrap.dedent(code)]
+    else:
+        script.write_text(textwrap.dedent(code))
+        source = [str(script)]
     return subprocess.Popen(
-        [sys.executable, "-X", "dev", "-c", textwrap.dedent(code)],
+        [sys.executable, "-X", "dev", *source],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -207,3 +216,154 @@ def test_workers_exit_when_the_caller_is_killed():
         os.kill(proc.pid, signal.SIGKILL)
         proc.communicate(timeout=30)
     assert _wait_for_empty_group(proc.pid) == []
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_fewer_than_one_trial_is_refused_by_name(trials):
+    cfg = SystemConfig(n_subcarriers=16, cdma_users=3, ofdma_users=0, multipath_taps=2)
+    with pytest.raises(InvalidParameterError, match="trials"):
+        empirical_cdma_sinr(cfg, None, "mf", "selective", trials, np.random.default_rng(0))
+
+
+@needs_two_cpus
+def test_a_script_without_a_main_guard_is_told_to_add_one(tmp_path):
+    # Each spawned worker imports the script, whose top level then tries to
+    # start a pool of its own while the worker is still bootstrapping.
+    code = """
+    import numpy as np
+    from refarm import SystemConfig, experiments
+    cfg = SystemConfig(n_subcarriers=16, cdma_users=3, ofdma_users=0, multipath_taps=2)
+    experiments.empirical_cdma_sinr(cfg, None, "mf", "selective", 4, np.random.default_rng(0))
+    """
+    proc = _python(code, script=tmp_path / "unguarded.py")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode != 0
+    # A dying worker's own traceback may come after the caller's.
+    prefix = "concurrent.futures.process.BrokenProcessPool: a Monte Carlo worker"
+    raised = [line for line in err.splitlines() if line.startswith(prefix)]
+    assert len(raised) == 1 and 'if __name__ == "__main__":' in raised[0]
+
+
+# Small sweeps, each with a point the pool runs and, for the load sweep,
+# an infeasible one.
+SMALL = SystemConfig(
+    n_subcarriers=32, alpha=0.2, ofdma_users=2, multipath_taps=4, power_caps=(200.0, 200.0)
+)
+SWEEPS = {
+    "load_mf": (run_load_sweep, [0.1, 0.3, 0.5, 0.9], "mf"),
+    "load_mmse": (run_load_sweep, [0.1, 0.2, 0.3, 0.4, 0.5], "mmse"),
+    "snr_mmse": (run_snr_sweep, [8.0, 14.0, 20.0], "mmse"),
+}
+
+
+def _sweep(name, trials=6):
+    run, grid, receiver = SWEEPS[name]
+    spec = SweepSpec(
+        grid=np.array(grid),
+        receiver=receiver,
+        base=SMALL,
+        trials=trials,
+        seed=11,
+        solver=SolverOptions(max_iterations=600),
+    )
+    return run(spec)
+
+
+def _table(result):
+    """The rows as one float array, so that NaN cells compare equal."""
+    return np.array([[float(row[c]) for c in result.columns] for row in result.rows])
+
+
+def _record_futures(monkeypatch):
+    futures = []
+    submit = experiments._submit_to_workers
+
+    def recording(*args):
+        started = submit(*args)
+        futures.extend(started)
+        return started
+
+    monkeypatch.setattr(experiments, "_submit_to_workers", recording)
+    return futures
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_pipelined_sweep_matches_a_run_on_one_cpu(monkeypatch, name):
+    futures = _record_futures(monkeypatch)
+    pooled = _sweep(name)
+    assert futures and all(future.done() for future in futures)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    serial = _sweep(name)
+    assert pooled.columns == serial.columns
+    np.testing.assert_array_equal(_table(pooled), _table(serial))
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_error_in_the_caller_leaves_no_chunk_running(monkeypatch, error):
+    before = _sweep("load_mmse", trials=40)
+    futures = _record_futures(monkeypatch)
+    solve = experiments.solve_p1
+    calls = []
+
+    def failing_third(problem, options):
+        calls.append(problem)
+        if len(calls) == 3:
+            raise error("third solve")
+        return solve(problem, options)
+
+    monkeypatch.setattr(experiments, "solve_p1", failing_third)
+    with pytest.raises(error, match="third solve"):
+        _sweep("load_mmse", trials=40)
+    # The first two points' chunks: the third point failed before its trials started.
+    assert len(futures) == 2 * min(experiments._usable_cpus(), 40)
+    assert all(future.done() for future in futures)
+    monkeypatch.setattr(experiments, "solve_p1", solve)
+    np.testing.assert_array_equal(_table(_sweep("load_mmse", trials=40)), _table(before))
+
+
+@needs_two_cpus
+def test_a_worker_error_mid_grid_reaches_the_caller(monkeypatch):
+    # At 140 dB (the middle point) the 3-user MMSE system fails its
+    # residual check.  Every point's trials are started before any is
+    # read, and the error reported is the first failing point's, as on
+    # one CPU.
+    base = SystemConfig(
+        n_subcarriers=4, cdma_users=3, ofdma_users=1, multipath_taps=1, power_caps=(1e-3,)
+    )
+    spec = SweepSpec(
+        grid=np.array([20.0, 140.0, 160.0]),
+        receiver="mmse",
+        base=base,
+        trials=20,
+        channel_model="awgn",
+    )
+    futures = _record_futures(monkeypatch)
+    with pytest.raises(NumericalError) as pooled:
+        run_snr_sweep(spec)
+    assert len(futures) == 3 * min(experiments._usable_cpus(), 20)
+    assert all(future.done() for future in futures)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    with pytest.raises(NumericalError) as serial:
+        run_snr_sweep(spec)
+    assert type(pooled.value) is NumericalError
+    assert str(pooled.value) == str(serial.value)
+
+
+@needs_two_cpus
+def test_ctrl_c_between_two_submits_leaves_no_chunk_behind(monkeypatch):
+    cfg = SystemConfig(n_subcarriers=64, cdma_users=60, ofdma_users=0, multipath_taps=8)
+    empirical_cdma_sinr(cfg, None, "mmse", "selective", 2, np.random.default_rng(0))
+    pool, submitted = experiments._pool, []
+
+    def interrupted_second(*args):
+        if submitted:
+            raise KeyboardInterrupt
+        submitted.append(ProcessPoolExecutor.submit(pool, *args))
+        return submitted[-1]
+
+    monkeypatch.setattr(pool, "submit", interrupted_second)
+    with pytest.raises(KeyboardInterrupt):
+        empirical_cdma_sinr(cfg, None, "mmse", "selective", 40, np.random.default_rng(1))
+    assert len(submitted) == 1 and submitted[0].done()
