@@ -4,10 +4,11 @@ interference margin.
 Subpackages by role: ``channel`` (multipath realizations), ``cdma``
 (codes, signatures, exact receiver SINR), ``asymptotics`` (large-system
 SINR limits, loads, margins), ``allocator`` (dual-decomposition resource
-allocation plus the water-filling and channel-inverse special cases),
-``experiments`` (sweep, trace and validation runs), ``cli`` / ``cli_io``
-(front end and serialization).  The brute-force allocation oracle and
-the symbol-level SINR simulation that check these live with the tests.
+allocation plus the channel-inverse special case), ``experiments``
+(sweep, trace and validation runs), ``cli`` / ``cli_io`` (front end and
+serialization).  The brute-force allocation oracle, the single-user
+water-filler and the symbol-level SINR simulation that check these live
+with the tests.
 """
 
 from .allocator import (
@@ -16,7 +17,6 @@ from .allocator import (
     PowerAllocation,
     SolverOptions,
     solve_p1,
-    solve_p2_waterfill,
     solve_p3_channel_inverse,
 )
 from .asymptotics import (
@@ -26,7 +26,6 @@ from .asymptotics import (
     jensen_reinforcement_gap,
     mf_asymptotic_selective,
     mf_asymptotic_uniform,
-    mmse_fixed_point_selective,
     mmse_fixed_point_uniform,
     proposition1_check,
     supportable_load,
@@ -70,12 +69,10 @@ __all__ = [
     "mf_asymptotic_selective",
     "mf_asymptotic_uniform",
     "mf_sinr_exact",
-    "mmse_fixed_point_selective",
     "mmse_fixed_point_uniform",
     "mmse_sinr_exact",
     "proposition1_check",
     "solve_p1",
-    "solve_p2_waterfill",
     "solve_p3_channel_inverse",
     "supportable_load",
 ]

@@ -187,12 +187,6 @@ class SolverOptions:
                 raise InvalidParameterError(f"invariant violated: {name}")
 
 
-class WaterfillResult(NamedTuple):
-    powers: np.ndarray
-    water_level: float
-    feasible: bool
-
-
 class ChannelInverseResult(NamedTuple):
     allocation: PowerAllocation
     throughput: float
@@ -508,39 +502,6 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
     value, powers, state.kkt_delta, state.kkt_lambdas = best
     state.converged = bool(state.gap_trace[-1] < opts.gap_tolerance)
     return PowerAllocation.from_powers(powers), state, value
-
-
-def solve_p2_waterfill(gains, cap, noise_floor) -> WaterfillResult:
-    """Single-user water-filling against the CDMA-plus-noise floor.
-
-    The water level satisfies p = [w - floor/g]^+ with sum p equal to the
-    cap exactly (closed-form active-set solve; no residual beyond float
-    rounding).  ``feasible`` is False when the cap cannot be spent because
-    every gain is zero.
-    """
-    gains = np.asarray(gains, dtype=float)
-    if cap < 0:
-        raise InvalidParameterError("cap must be >= 0")
-    if not np.all((gains >= 0) & np.isfinite(gains)):
-        raise InvalidParameterError("gains must be finite and >= 0")
-    powers = np.zeros_like(gains)
-    positive = gains > 0
-    if cap == 0 or not np.any(positive):
-        return WaterfillResult(powers, float("inf"), bool(cap == 0))
-    base = noise_floor / gains[positive]
-    order = np.argsort(base)
-    sorted_base = base[order]
-    cumulative = np.cumsum(sorted_base)
-    for active in range(sorted_base.size, 0, -1):
-        level = (cap + cumulative[active - 1]) / active
-        if level > sorted_base[active - 1]:
-            break
-    filled = np.zeros(sorted_base.size)
-    filled[:active] = level - sorted_base[:active]
-    unsorted = np.zeros_like(filled)
-    unsorted[order] = filled
-    powers[positive] = unsorted
-    return WaterfillResult(powers, float(level), True)
 
 
 def solve_p3_channel_inverse(problem: AllocationProblem) -> ChannelInverseResult:

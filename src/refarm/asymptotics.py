@@ -43,15 +43,10 @@ class MarginResult:
 
 @dataclass
 class FixedPointSolution:
-    """Result of a self-consistent SINR equation solve.
+    """Result of a self-consistent SINR equation solve."""
 
-    ``value`` is a scalar for the uniform equation and a per-user vector
-    for the coupled one.  ``residual`` is the final relative change.
-    """
-
-    value: float | np.ndarray
+    value: float
     iterations: int
-    residual: float
 
 
 def _validate_positive(**kwargs):
@@ -92,45 +87,6 @@ def mf_asymptotic_uniform(alpha, q, mean_interference, sigma2) -> float:
     return q / (alpha * q + mean_interference + sigma2)
 
 
-def _iterate_fixed_point(update, x0):
-    x = x0
-    for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
-        x_next = update(x)
-        residual = float(
-            np.max(np.abs(x_next - x) / np.maximum(1.0, np.abs(x_next)))
-        )
-        x = x_next
-        if residual <= FIXED_POINT_TOL:
-            return x, iteration, residual
-    raise NumericalError(
-        f"fixed point did not converge in {FIXED_POINT_MAX_ITER} iterations"
-        f" (residual {residual:.3e})"
-    )
-
-
-def mmse_fixed_point_selective(channels: ChannelSet, q, profile, sigma2) -> FixedPointSolution:
-    """Coupled per-user MMSE SINR limits for explicit channel responses.
-
-    Jacobi-style successive substitution on all users simultaneously,
-    started at q/sigma2; the map is monotone with a unique positive fixed
-    point, so any start in (0, q/sigma2] converges to the same solution.
-    """
-    _validate_positive(q=q, sigma2=sigma2)
-    gains = channels.cdma_gains
-    n_users, n = gains.shape
-    if n_users < 1:
-        raise InvalidParameterError("need at least one CDMA user")
-    prof = profile_array(profile, n)
-    start = np.full(n_users, q / sigma2, dtype=float)
-
-    def update(x):
-        shared = (q / n) * (gains.T @ (1.0 / (1.0 + x)))  # per-subcarrier denominator
-        return (gains @ (q / (shared + prof + sigma2))) / n
-
-    value, iterations, residual = _iterate_fixed_point(update, start)
-    return FixedPointSolution(value=value, iterations=iterations, residual=residual)
-
-
 def mmse_fixed_point_uniform(alpha, q, profile, sigma2, x0=None) -> FixedPointSolution:
     """Scalar MMSE SINR limit under rich multipath.
 
@@ -141,15 +97,19 @@ def mmse_fixed_point_uniform(alpha, q, profile, sigma2, x0=None) -> FixedPointSo
     if alpha < 0:
         raise InvalidParameterError("alpha must be >= 0")
     prof = profile_array(profile)
-    start = q / sigma2 if x0 is None else float(x0)
-    if not 0 < start < np.inf:
+    x = q / sigma2 if x0 is None else float(x0)
+    if not 0 < x < np.inf:
         raise InvalidParameterError("start point x0 must be finite and > 0")
-
-    def update(x):
-        return float(np.mean(q / (alpha * q / (1.0 + x) + prof + sigma2)))
-
-    value, iterations, residual = _iterate_fixed_point(update, start)
-    return FixedPointSolution(value=value, iterations=iterations, residual=residual)
+    for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
+        x_next = float(np.mean(q / (alpha * q / (1.0 + x) + prof + sigma2)))
+        residual = abs(x_next - x) / max(1.0, abs(x_next))
+        x = x_next
+        if residual <= FIXED_POINT_TOL:
+            return FixedPointSolution(value=x, iterations=iteration)
+    raise NumericalError(
+        f"fixed point did not converge in {FIXED_POINT_MAX_ITER} iterations"
+        f" (residual {residual:.3e})"
+    )
 
 
 def supportable_load(q, sigma2, beta_star, receiver: str) -> float:

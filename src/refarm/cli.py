@@ -149,6 +149,8 @@ def main(argv=None) -> int:
     if args.trials is not None:
         args.overrides.append(f"sweep.trials={args.trials}")
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         settings = cli_io.parse_config(args.config, args.overrides)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

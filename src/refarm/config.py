@@ -21,7 +21,6 @@ DEFAULT_TARGET_SINR_DB = 2.0
 DEFAULT_POWER_CAP_DB = 30.0
 
 RECEIVERS = ("mf", "mmse")
-_ALPHA_RANGE = "0 <= alpha < inf"
 CHANNEL_MODELS = ("selective", "flat", "awgn")
 
 
@@ -90,8 +89,8 @@ class SystemConfig:
             self.power_caps = tuple(float(c) for c in self.power_caps)
         if self.cdma_users is None:
             # Checked before rounding, which raises OverflowError on inf.
-            if not np.isfinite(self.alpha):
-                raise InvalidParameterError(f"invariant violated: {_ALPHA_RANGE}")
+            if not np.isfinite(self.alpha * self.n_subcarriers):
+                raise InvalidParameterError("invariant violated: alpha * n_subcarriers < inf")
             self.cdma_users = int(round(self.alpha * self.n_subcarriers))
         if self.multipath_taps is None:
             self.multipath_taps = max(1, self.n_subcarriers // 8)
@@ -101,7 +100,7 @@ class SystemConfig:
         n, l = self.n_subcarriers, self.multipath_taps
         checks = [
             (n >= 1, "n_subcarriers >= 1"),
-            (0 <= self.alpha < np.inf, _ALPHA_RANGE),
+            (0 <= self.alpha < np.inf, "0 <= alpha < inf"),
             (self.cdma_users >= 0, "cdma_users >= 0"),
             (self.ofdma_users >= 0, "ofdma_users >= 0"),
             (1 <= l <= n, "1 <= multipath_taps <= n_subcarriers"),

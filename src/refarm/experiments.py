@@ -242,11 +242,6 @@ def _gather(futures):
         raise BrokenProcessPool(BROKEN_POOL_MESSAGE) from exc
 
 
-def _map_in_workers(fn, args, chunks):
-    """``[fn(*args, chunk) for chunk in chunks]``, one chunk per worker process."""
-    return _gather(_submit_to_workers(fn, args, chunks))
-
-
 def _start_trials(cfg: SystemConfig, profile, receiver, model, trials, rng):
     """Start ``empirical_cdma_sinr``'s trials; ``_finish_trials`` reads them.
 

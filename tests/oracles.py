@@ -3,6 +3,8 @@
 ``brute_force_oracle`` solves tiny allocation instances by enumerating
 every exclusive assignment and running SLSQP on the concave power
 problem that is left, with none of the dual-decomposition machinery.
+``solve_p2_waterfill`` is the closed-form single-user case with no
+interference margin, the light-regime reference for ``solve_p1``.
 ``simulate_uplink_frame`` measures receiver-output SINR at symbol level,
 the check on the exact formulas of ``refarm.cdma``; its MMSE filter
 builds the full received covariance and solves it with ``scipy.linalg``,
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -31,6 +34,45 @@ from refarm.cdma import _check_levels, _check_powers, _check_signatures
 
 BRUTE_FORCE_MAX_SUBCARRIERS = 6
 BRUTE_FORCE_MAX_USERS = 2
+
+
+class WaterfillResult(NamedTuple):
+    powers: np.ndarray
+    water_level: float
+    feasible: bool
+
+
+def solve_p2_waterfill(gains, cap, noise_floor) -> WaterfillResult:
+    """Single-user water-filling against the CDMA-plus-noise floor.
+
+    The water level satisfies p = [w - floor/g]^+ with sum p equal to the
+    cap exactly (closed-form active-set solve; no residual beyond float
+    rounding).  ``feasible`` is False when the cap cannot be spent because
+    every gain is zero.
+    """
+    gains = np.asarray(gains, dtype=float)
+    if cap < 0:
+        raise InvalidParameterError("cap must be >= 0")
+    if not np.all((gains >= 0) & np.isfinite(gains)):
+        raise InvalidParameterError("gains must be finite and >= 0")
+    powers = np.zeros_like(gains)
+    positive = gains > 0
+    if cap == 0 or not np.any(positive):
+        return WaterfillResult(powers, float("inf"), bool(cap == 0))
+    base = noise_floor / gains[positive]
+    order = np.argsort(base)
+    sorted_base = base[order]
+    cumulative = np.cumsum(sorted_base)
+    for active in range(sorted_base.size, 0, -1):
+        level = (cap + cumulative[active - 1]) / active
+        if level > sorted_base[active - 1]:
+            break
+    filled = np.zeros(sorted_base.size)
+    filled[:active] = level - sorted_base[:active]
+    unsorted = np.zeros_like(filled)
+    unsorted[order] = filled
+    powers[positive] = unsorted
+    return WaterfillResult(powers, float(level), True)
 
 
 def brute_force_oracle(problem: AllocationProblem):

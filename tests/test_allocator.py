@@ -11,7 +11,6 @@ from refarm import (
     SystemConfig,
     gen_channel_set,
     solve_p1,
-    solve_p2_waterfill,
     solve_p3_channel_inverse,
 )
 from refarm import allocator
@@ -29,7 +28,7 @@ from refarm.allocator import (
 from refarm.cli import main
 from refarm.experiments import _allocation_instance
 
-from oracles import brute_force_oracle
+from oracles import brute_force_oracle, solve_p2_waterfill
 
 LN2 = np.log(2.0)
 

@@ -12,7 +12,6 @@ from refarm import (
     jensen_reinforcement_gap,
     mf_asymptotic_selective,
     mf_asymptotic_uniform,
-    mmse_fixed_point_selective,
     mmse_fixed_point_uniform,
     proposition1_check,
     supportable_load,
@@ -83,7 +82,8 @@ def test_uniform_fixed_point_no_load():
 def test_uniform_fixed_point_quadratic_root():
     solution = mmse_fixed_point_uniform(0.2, Q, None, SIGMA2)
     assert solution.value == pytest.approx(ROOT, rel=1e-8)
-    assert solution.residual <= 1e-10
+    mapped = Q / (0.2 * Q / (1.0 + solution.value) + SIGMA2)
+    assert mapped == pytest.approx(solution.value, rel=1e-10)
 
 
 def test_uniform_fixed_point_saturates_target_at_margin():
@@ -125,41 +125,6 @@ def test_uniform_ratio_map_strictly_decreasing():
         float(np.mean(Q / (0.2 * Q / (1.0 + x) + profile + SIGMA2))) / x for x in grid
     ]
     assert np.all(np.diff(f_over_x) < 0)
-
-
-def test_selective_fixed_point_flat_collapse():
-    # U/N = 51/255 = 0.2 exactly, so every user's value is the scalar root.
-    solution = mmse_fixed_point_selective(flat_ones(51, 255), Q, None, SIGMA2)
-    np.testing.assert_allclose(solution.value, ROOT, rtol=1e-8)
-
-
-def test_selective_fixed_point_single_user_limit():
-    cfg = SystemConfig(n_subcarriers=128, cdma_users=1, ofdma_users=0, multipath_taps=16)
-    channels = gen_channel_set(cfg, "selective", np.random.default_rng(1))
-    solution = mmse_fixed_point_selective(channels, Q, None, SIGMA2)
-    no_self = np.mean(channels.cdma_gains[0]) * Q / SIGMA2
-    assert abs(solution.value[0] - no_self) / no_self < 2.0 / 128
-
-
-def test_selective_fixed_point_monotone_from_zero():
-    cfg = SystemConfig(n_subcarriers=64, cdma_users=13, ofdma_users=0, multipath_taps=8)
-    channels = gen_channel_set(cfg, "selective", np.random.default_rng(2))
-    gains = channels.cdma_gains
-    x = np.zeros(13)
-    for _ in range(30):
-        shared = (Q / 64) * (gains.T @ (1.0 / (1.0 + x)))
-        x_next = (gains @ (Q / (shared + SIGMA2))) / 64
-        assert np.all(x_next >= x - 1e-12)
-        x = x_next
-
-
-def test_selective_matches_uniform_on_awgn_channels():
-    # Reduction chain: explicit-channel solver on unit gains equals the
-    # scalar solver at the matching finite load.
-    n_users, n = 16, 64
-    coupled = mmse_fixed_point_selective(flat_ones(n_users, n), Q, None, SIGMA2)
-    scalar = mmse_fixed_point_uniform(n_users / n, Q, None, SIGMA2)
-    np.testing.assert_allclose(coupled.value, scalar.value, rtol=1e-8)
 
 
 def test_mf_selective_flat_reduction_chain():

@@ -248,6 +248,18 @@ def test_trials_flag_below_one_exits_2_naming_trials(tmp_path, capsys, command):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["margin"], ["allocate"], ["sweep-load"], ["sweep-snr"], ["trace"], ["snapshot"], ["validate"]],
+    ids=lambda command: command[0],
+)
+def test_negative_seed_exits_2_naming_seed_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "--seed", "-1", *command]) == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trials_flag_is_recorded_in_the_resolved_config(tmp_path):
     # --trials wins over the configured count, and resolved_config.ini
     # records it, so rerunning from that file reproduces the CSV.
@@ -359,6 +371,7 @@ def test_no_ofdma_users(tmp_path, command):
         ("[solver]\ndelta_init = 0.01\n", "delta_init"),
         ("[solver]\nlambda_init = 0.1\n", "lambda_init"),
         ("[system]\nalpha = nan\n", "alpha"),
+        ("[system]\nalpha = 1e308\n", "alpha"),
         ("[system]\nreceive_snr_db = inf\n", "receive_snr_db"),
         ("[system]\nnoise_power = inf\n", "noise_power"),
         ("[sweep]\ngrid = 0.05,nan\n", "grid"),
@@ -370,7 +383,7 @@ def test_no_ofdma_users(tmp_path, command):
     ids=[
         "cp_length", "bandwidth_hz", "parameter", "max_iterations", "gap_tolerance",
         "step_scale", "delta_init", "lambda_init",
-        "alpha-nan", "receive_snr_db-inf", "noise_power-inf", "grid-nan",
+        "alpha-nan", "alpha-1e308", "receive_snr_db-inf", "noise_power-inf", "grid-nan",
         "grid-1e12-points", "grid-1e7-points", "grid-range-nan", "grid-1001-values",
     ],
 )
@@ -394,13 +407,17 @@ def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize adds about 0.4 s to every start and scipy.linalg about
     # 0.25 s; only the SLSQP test oracle and the MMSE solves need them, and
     # each imports its own.  numpy.random (11-15 ms) loads at the first
-    # draw.
+    # draw.  The worker pool's modules load at the first Monte Carlo call
+    # with two or more trials, and logging with them.
+    lazy = [
+        "scipy.optimize", "scipy.linalg", "numpy.random",
+        "concurrent.futures", "multiprocessing", "logging",
+    ]
     code = (
-        "import sys, refarm, refarm.cli; "
-        "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules, "
-        "'numpy.random' in sys.modules)"
+        "import sys, refarm, refarm.cli, refarm.experiments; "
+        f"print(*(name in sys.modules for name in {lazy!r}))"
     )
-    assert _run_python(code) == ["False", "False", "False"]
+    assert _run_python(code) == ["False"] * len(lazy)
 
 
 def test_margin_and_allocate_leave_scipy_linalg_unloaded(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refarm import SolverOptions, SystemConfig, linear_to_db, solve_p2_waterfill
+from refarm import SolverOptions, SystemConfig, linear_to_db
 from refarm.experiments import (
     SweepSpec,
     run_allocation_snapshot,
@@ -10,6 +10,8 @@ from refarm.experiments import (
     run_sinr_validation,
     run_snr_sweep,
 )
+
+from oracles import solve_p2_waterfill
 
 # Caps sized so the light/heavy loads are genuinely power- and
 # interference-limited at this miniature band width.

@@ -143,7 +143,7 @@ def test_workers_pin_blas_and_leave_the_callers_environment():
     names = experiments.BLAS_THREAD_VARS
     cfg = SystemConfig(n_subcarriers=16, cdma_users=3, ofdma_users=0, multipath_taps=2)
     experiments.empirical_cdma_sinr(cfg, None, "mf", "selective", 2, np.random.default_rng(0))
-    print(*experiments._map_in_workers(os.getenv, (), list(names)))
+    print(*experiments._gather(experiments._submit_to_workers(os.getenv, (), list(names))))
     print(*(name in os.environ for name in names))
     """
     out, err = _python(code).communicate(timeout=120)
