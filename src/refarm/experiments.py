@@ -6,23 +6,24 @@ independent substreams spawned off the master generator, so grid points
 and trials can run in any order (or in parallel) without changing the
 result.
 
-Monte Carlo trials do run in parallel.  ``empirical_cdma_sinr`` hands a
-contiguous slice of its trials to each of a pool of worker processes,
-one per usable CPU, each with BLAS on one thread.  The pool is spawned at
-the first call with two or more trials, and stops at interpreter exit.
-As with any spawned pool, a script that runs trials must keep its
-top-level code under ``if __name__ == "__main__":``, because each worker
-imports the script's main module.
+Monte Carlo trials run in parallel, and ``_run_trials`` is the one place
+that starts, reads and cancels them.  It hands a contiguous slice of each
+call's trials to each of a pool of worker processes, one per usable CPU,
+each with BLAS on one thread.  The pool is spawned at the first call with
+two or more trials, and stops at interpreter exit.  As with any spawned
+pool, a script that runs trials must keep its top-level code under
+``if __name__ == "__main__":``, because each worker imports the script's
+main module.
 
-A sweep overlaps its solves with the workers: it starts each point's
-trials as soon as that point's allocation is solved, goes on to solve
-the next point, and reads the trial means, in grid order, only after
-its last solve.  When each point waited for its own trials, the workers
-sat idle through every solve: on the benchmark's load sweep (2-vCPU
-Xeon, one BLAS thread) the solves took 0.49-0.57 s of a 3.55-3.94 s
-pass, and the Monte Carlo ran at only 1.57 times its serial speed.
-Overlapped, the sweep runs 1.22 times the points per second (median of
-10 paired runs).
+Sweeps and the validation hand ``_run_trials`` a generator of calls.  A
+sweep's generator solves each point before it yields that point's
+trials, so the workers run one point's trials while the next point is
+solved, and the means are read in grid order after the last solve.  When
+each point waited for its own trials, the workers sat idle through every
+solve: on the benchmark's load sweep (2-vCPU Xeon, one BLAS thread) the
+solves took 0.49-0.57 s of a 3.55-3.94 s pass, and the Monte Carlo ran
+at only 1.57 times its serial speed.  Overlapped, the sweep runs 1.22
+times the points per second (median of 10 paired runs).
 
 Information flow mirrors the deployment split: the allocator sees only
 the CDMA design parameters (load, receive SNR, target SINR) through the
@@ -62,6 +63,15 @@ DEFAULT_SEED = 42
 
 #: Environment variables that set the BLAS thread count in a worker process.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: The largest system a Monte Carlo trial may simulate, in entries of U x
+#: max(U, N): the U x N codes, or the matched filter's U x U
+#: cross-correlations when U > N.  A trial peaked at 27-128 bytes an entry
+#: (U, N = 256-1024, both receivers), so this allows about 0.5 GiB per
+#: worker: U = 2048 at the default N = 256, or N = 4096 at alpha = 0.25.
+#: A larger load is refused by name before any draw, where alpha = 1e5
+#: once failed mid-run asking for a 48 GiB code matrix.
+MAX_SIMULATED_ENTRIES = 2**22
 
 _pool = None  # the Monte Carlo worker pool, started at first use
 _pool_lock = threading.Lock()
@@ -167,17 +177,19 @@ BROKEN_POOL_MESSAGE = (
 )
 
 
-def _submit_to_workers(fn, args, chunks):
-    """Submit ``fn(*args, chunk)`` for each chunk to the worker pool; return the futures.
+def _submit_to_workers(fn, args, chunks, futures):
+    """Submit ``fn(*args, chunk)`` for each chunk to the worker pool.
 
-    The pool starts at the first call, with up to one spawned worker per
-    usable CPU, and stops at interpreter exit.  Workers start on demand inside
-    ``submit``, so BLAS is pinned to one thread in ``os.environ`` around
-    the submits only, and the caller's values are put back.
+    Each future is appended to ``futures`` as soon as it is made, so a
+    caller interrupted between two submits still holds every chunk it
+    must cancel.  The pool starts at the first call, with up to one
+    spawned worker per usable CPU, and stops at interpreter exit.
+    Workers start on demand inside ``submit``, so BLAS is pinned to one
+    thread in ``os.environ`` around the submits only, and the caller's
+    values are put back.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
     global _pool
     with _pool_lock:
@@ -189,17 +201,9 @@ def _submit_to_workers(fn, args, chunks):
             )
         saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
         os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-        futures = []
         try:
             for chunk in chunks:
                 futures.append(_pool.submit(fn, *args, chunk))
-            return futures
-        except BrokenProcessPool as exc:
-            _pool = None
-            raise BrokenProcessPool(BROKEN_POOL_MESSAGE) from exc
-        except BaseException:  # Ctrl-C between two submits: no chunk is left behind
-            _cancel([futures])
-            raise
         finally:
             for name, value in saved.items():
                 if value is None:
@@ -208,84 +212,89 @@ def _submit_to_workers(fn, args, chunks):
                     os.environ[name] = value
 
 
-def _cancel(started):
-    """Cancel the queued chunks of each started call and wait for the running ones."""
-    futures = [future for chunks in started if isinstance(chunks, list) for future in chunks]
-    if futures:
-        from concurrent.futures import wait
+def _run_trials(calls):
+    """``empirical_cdma_sinr``'s result for each argument tuple that ``calls`` yields.
 
-        for future in futures:
-            future.cancel()
-        wait(futures)
-
-
-def _gather(futures):
-    """The futures' results, in order.
-
-    If one raises, or the wait is interrupted, the rest are cancelled or
-    waited for before the error propagates, so none is left running.  A
+    A None call simulates nothing, and gives NaN, NaN and no trial means.
+    Each call's trials start as it is yielded, so a generator that solves
+    its next point before yielding it overlaps that solve with this
+    point's trials.  The means are read in call order after the last
+    call, so the first failing call is the one reported, as on one CPU.
+    Any error, in ``calls``, in a worker or Ctrl-C, cancels the chunks not
+    yet started and waits for the running ones before it propagates.  A
     dead worker breaks the pool: this raises BrokenProcessPool, and the
     next call starts a new pool.
     """
-    from concurrent.futures.process import BrokenProcessPool
-
     global _pool
+    started = []  # per call: its trial means, or the futures of their chunks
     try:
-        return [future.result() for future in futures]
+        for call in calls:
+            if call is None:
+                started.append(np.array([]))
+                continue
+            cfg, profile, receiver, model, trials, rng = call
+            if trials < 1:
+                raise InvalidParameterError("trials must be >= 1")
+            seed_seq = getattr(rng.bit_generator, "seed_seq", None)
+            if not isinstance(seed_seq, np.random.SeedSequence):
+                raise InvalidParameterError(
+                    "rng must be seeded from a SeedSequence, to spawn the trials"
+                )
+            users, n = cfg.cdma_users, cfg.n_subcarriers
+            if users * max(users, n) > MAX_SIMULATED_ENTRIES:
+                raise InvalidParameterError(
+                    f"cdma_users = {users} is too many to simulate at {n} subcarriers: "
+                    f"users x max(users, subcarriers) exceeds {MAX_SIMULATED_ENTRIES}"
+                )
+            # Nothing draws from a trial's own stream, so it is spawned as a
+            # SeedSequence; its two children are the Generators that
+            # rng.spawn(trials)[i].spawn(2) would give.  Trials run in worker
+            # processes, a contiguous slice each, and come back in trial
+            # order, so every bit matches a serial run.  Processes, because
+            # in one process batching trials ran at 0.88-1.07 times the
+            # speed, and a second thread at 0.77-1.18 times on the MMSE
+            # kernel, whose scipy BLAS and LAPACK wrappers keep the GIL.  Two
+            # worker processes ran the benchmark's load sweep at 1.42 times
+            # the points per second and its validation at 1.45 times the
+            # trials per second (2-vCPU Xeon, one BLAS thread).  Spawned,
+            # not forked: a fork of a caller with unpinned BLAS threads ran
+            # the MMSE sweep 2-2.5 times slower than serial.
+            trial_seqs = seed_seq.spawn(trials) if users else []
+            args = (cfg, profile, receiver, model, type(rng.bit_generator))
+            workers = min(_usable_cpus(), len(trial_seqs))
+            if workers < 2:
+                started.append(_trial_means(*args, trial_seqs))
+                continue
+            bounds = [i * trials // workers for i in range(workers + 1)]
+            chunks = [trial_seqs[a:b] for a, b in zip(bounds, bounds[1:])]
+            started.append([])
+            _submit_to_workers(_trial_means, args, chunks, started[-1])
+        results = []
+        for means in started:
+            if isinstance(means, list):
+                means = np.concatenate([future.result() for future in means])
+            if means.size == 0:
+                results.append((float("nan"), float("nan"), means))
+            else:
+                results.append((float(means.mean()), float(means.std()), means))
+        return results
     except BaseException as exc:
-        _cancel([futures])
+        submitted = [means for means in started if isinstance(means, list)]
+        if not submitted:  # nothing to cancel, and no pool to break
+            raise
+        from concurrent.futures import wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        futures = [future for chunks in submitted for future in chunks]
+        for future in futures:
+            future.cancel()
+        wait(futures)
         if not isinstance(exc, BrokenProcessPool):
             raise
         with _pool_lock:
             if _pool is not None and _pool._broken:
                 _pool = None
         raise BrokenProcessPool(BROKEN_POOL_MESSAGE) from exc
-
-
-def _start_trials(cfg: SystemConfig, profile, receiver, model, trials, rng):
-    """Start ``empirical_cdma_sinr``'s trials; ``_finish_trials`` reads them.
-
-    Returns the trial means, computed in-process, or the futures of the
-    worker processes that compute them, one per contiguous slice of the
-    trials.
-    """
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
-    seed_seq = getattr(rng.bit_generator, "seed_seq", None)
-    if not isinstance(seed_seq, np.random.SeedSequence):
-        raise InvalidParameterError("rng must be seeded from a SeedSequence, to spawn the trials")
-    if cfg.cdma_users == 0:
-        return np.array([])
-    # Nothing draws from a trial's own stream, so it is spawned as a
-    # SeedSequence; its two children are the Generators that
-    # rng.spawn(trials)[i].spawn(2) would give.  Trials run in worker
-    # processes, a contiguous slice each, and come back in trial order, so
-    # every bit matches a serial run.  Processes, because in one process
-    # batching trials ran at 0.88-1.07 times the speed, and a second
-    # thread at 0.77-1.18 times on the MMSE kernel, whose scipy BLAS and
-    # LAPACK wrappers keep the GIL.  Two worker processes ran the
-    # benchmark's load sweep at 1.42 times the points per second and its
-    # validation at 1.45 times the trials per second (2-vCPU Xeon, one
-    # BLAS thread).  Spawned, not forked: a fork of a caller with
-    # unpinned BLAS threads ran the MMSE sweep 2-2.5 times slower than
-    # serial.  Starting and finishing are two steps so that a sweep can
-    # solve its next point while the workers run this one's trials.
-    trial_seqs = seed_seq.spawn(trials)
-    args = (cfg, profile, receiver, model, type(rng.bit_generator))
-    workers = min(_usable_cpus(), trials)
-    if workers < 2:
-        return _trial_means(*args, trial_seqs)
-    bounds = [i * trials // workers for i in range(workers + 1)]
-    chunks = [trial_seqs[a:b] for a, b in zip(bounds, bounds[1:])]
-    return _submit_to_workers(_trial_means, args, chunks)
-
-
-def _finish_trials(started):
-    """Mean, std and per-trial means of the trials ``_start_trials`` started."""
-    trial_means = np.concatenate(_gather(started)) if isinstance(started, list) else started
-    if trial_means.size == 0:
-        return float("nan"), float("nan"), trial_means
-    return float(trial_means.mean()), float(trial_means.std()), trial_means
 
 
 def empirical_cdma_sinr(cfg: SystemConfig, profile, receiver, model, trials, rng):
@@ -295,9 +304,10 @@ def empirical_cdma_sinr(cfg: SystemConfig, profile, receiver, model, trials, rng
     exact finite-dimension formula against the given interference profile
     and averages over users; the returned std is across trial means.
     ``rng`` must be seeded from a SeedSequence, which spawns one child per
-    trial; ``trials`` must be at least 1.
+    trial; ``trials`` must be at least 1, and the system no larger than
+    ``MAX_SIMULATED_ENTRIES`` allows.
     """
-    return _finish_trials(_start_trials(cfg, profile, receiver, model, trials, rng))
+    return _run_trials([(cfg, profile, receiver, model, trials, rng)])[0]
 
 
 def _theory_sinr(receiver, alpha, q, profile, sigma2):
@@ -356,10 +366,11 @@ def allocation_rows(alloc: PowerAllocation, gains: np.ndarray):
 
 
 def _sweep_point(cfg, receiver, model, trials, gains, rng, solver):
-    """Margin -> allocation -> profile -> theory for one point, and its trials started.
+    """Margin -> allocation -> profile -> theory for one point.
 
-    Returns the row, whose empirical cells are still NaN, and the started
-    trials, or None at an infeasible point.
+    Returns the row, whose empirical cells are still NaN, and the
+    ``empirical_cdma_sinr`` arguments of its trials, or None at an
+    infeasible point.
     """
     result, problem = _allocation_instance(cfg, receiver, gains)
     row = {
@@ -380,38 +391,29 @@ def _sweep_point(cfg, receiver, model, trials, gains, rng, solver):
         cdma_sinr_theory=_theory_sinr(receiver, cfg.alpha, cfg.q, profile, cfg.sigma2),
         solver_iterations=state.iteration,
     )
-    return row, _start_trials(cfg, profile, receiver, model, trials, rng)
+    return row, (cfg, profile, receiver, model, trials, rng)
 
 
 def _sweep(spec: SweepSpec, parameter: str, configs) -> SweepResult:
-    """Solve every point and start its trials, then read the trials in grid order.
-
-    A worker's error surfaces as the trials are read, so the first failing
-    point in grid order is the one reported.  Any error, Ctrl-C included,
-    cancels the chunks that have not started and waits for the running
-    ones before it propagates.
-    """
+    """Solve every point, handing its trials to ``_run_trials``; fill in their means."""
     master = np.random.default_rng(spec.seed)
     ofdma_rng, empirical_root = master.spawn(2)
     gains = gen_channel_set(
         spec.base.replace(cdma_users=0), spec.channel_model, ofdma_rng
     ).ofdma_gains
     point_rngs = empirical_root.spawn(len(configs))
-    rows, started = [], []
-    try:
+    rows = []
+
+    def calls():
         for value, cfg, rng in zip(spec.grid, configs, point_rngs):
-            row, trials = _sweep_point(
+            row, call = _sweep_point(
                 cfg, spec.receiver, spec.channel_model, spec.trials, gains, rng, spec.solver
             )
             rows.append({parameter: float(value), **row})
-            started.append(trials)
-        for row, trials in zip(rows, started):
-            if trials is not None:
-                mean, std, _ = _finish_trials(trials)
-                row.update(cdma_sinr_empirical_mean=mean, cdma_sinr_empirical_std=std)
-    except BaseException:
-        _cancel(started)
-        raise
+            yield call
+
+    for row, (mean, std, _) in zip(rows, _run_trials(calls())):
+        row.update(cdma_sinr_empirical_mean=mean, cdma_sinr_empirical_std=std)
     return SweepResult(rows=rows, columns=[parameter] + SWEEP_COLUMNS)
 
 
@@ -609,30 +611,26 @@ def run_sinr_validation(cfg: SystemConfig, trials: int = 200, seed: int = DEFAUL
         raise InvalidParameterError("validation needs at least 100 trials")
     prof = InterferenceProfile.zero(cfg.n_subcarriers)
     master = np.random.default_rng(seed)
-    rows, started = [], []
-    try:
-        for receiver in RECEIVERS:
-            for model in ("awgn", "selective"):
-                rng = master.spawn(1)[0]
-                started.append(_start_trials(cfg, prof, receiver, model, trials, rng))
-                rows.append(
-                    {
-                        "receiver": receiver,
-                        "channel_model": model,
-                        "trials": trials,
-                        "sinr_theory": _theory_sinr(receiver, cfg.alpha, cfg.q, prof, cfg.sigma2),
-                    }
-                )
-        for row, trials_started in zip(rows, started):
-            mean, std, _ = _finish_trials(trials_started)
-            theory = row["sinr_theory"]
-            row.update(
-                sinr_empirical_mean=mean,
-                sinr_empirical_std=std,
-                relative_error=abs(mean - theory) / theory,
-                spread_ratio=std / mean,
-            )
-    except BaseException:
-        _cancel(started)
-        raise
+    rows = [
+        {
+            "receiver": receiver,
+            "channel_model": model,
+            "trials": trials,
+            "sinr_theory": _theory_sinr(receiver, cfg.alpha, cfg.q, prof, cfg.sigma2),
+        }
+        for receiver in RECEIVERS
+        for model in ("awgn", "selective")
+    ]
+    calls = (
+        (cfg, prof, row["receiver"], row["channel_model"], trials, master.spawn(1)[0])
+        for row in rows
+    )
+    for row, (mean, std, _) in zip(rows, _run_trials(calls)):
+        theory = row["sinr_theory"]
+        row.update(
+            sinr_empirical_mean=mean,
+            sinr_empirical_std=std,
+            relative_error=abs(mean - theory) / theory,
+            spread_ratio=std / mean,
+        )
     return rows

@@ -9,7 +9,7 @@ import pytest
 
 import refarm
 from refarm import ConfigError, InvalidParameterError, SystemConfig, db_to_linear
-from refarm import cli_io
+from refarm import cli_io, experiments
 from refarm.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from refarm.cli_io import DEFAULT_GRIDS, emit_csv, format_value, parse_config
 
@@ -246,6 +246,23 @@ def test_sweep_load_command_deterministic(tmp_path):
 def test_trials_flag_below_one_exits_2_naming_trials(tmp_path, capsys, command):
     assert main(["--out", str(tmp_path), "--trials", "0", command]) == EXIT_CONFIG
     assert "trials" in capsys.readouterr().err
+
+
+def test_load_too_large_to_simulate_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
+    # alpha = 1e5 asks for 25.6 M users, a 48 GiB code matrix.  On one CPU
+    # every draw would run in this process, where it fails at once.
+    def no_draw(*args):
+        raise AssertionError("a trial drew its spreading codes")
+
+    monkeypatch.setattr(experiments, "gen_spreading_codes", no_draw)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    out = tmp_path / "run"
+    args = ["--out", str(out), "--set", "alpha=1e5", "--trials", "100", "validate"]
+    assert main(args) == EXIT_CONFIG
+    assert "cdma_users = 25600000" in capsys.readouterr().err
+    assert not (out / "validation.csv").exists()
+    for command in ("margin", "allocate"):
+        assert main(["--out", str(out), "--quiet", "--set", "alpha=1e5", command]) == EXIT_OK
 
 
 @pytest.mark.parametrize(

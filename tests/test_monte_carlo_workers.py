@@ -15,7 +15,13 @@ import pytest
 import refarm
 from refarm import InterferenceProfile, SolverOptions, SystemConfig, experiments
 from refarm.errors import InvalidParameterError, NumericalError
-from refarm.experiments import SweepSpec, empirical_cdma_sinr, run_load_sweep, run_snr_sweep
+from refarm.experiments import (
+    SweepSpec,
+    empirical_cdma_sinr,
+    run_load_sweep,
+    run_sinr_validation,
+    run_snr_sweep,
+)
 
 SRC = str(Path(refarm.__file__).resolve().parent.parent)
 
@@ -100,6 +106,7 @@ def test_workers_match_the_in_process_trials(receiver, users, model):
 
 def test_commands_without_monte_carlo_and_one_trial_calls_start_no_pool(tmp_path):
     code = f"""
+    import sys
     import numpy as np
     from refarm import SystemConfig, experiments
     from refarm.cli import main
@@ -107,10 +114,12 @@ def test_commands_without_monte_carlo_and_one_trial_calls_start_no_pool(tmp_path
         assert main(["--out", {str(tmp_path)!r}, "--quiet", *command]) == 0
     cfg = SystemConfig(n_subcarriers=16, cdma_users=3, ofdma_users=0, multipath_taps=2)
     experiments.empirical_cdma_sinr(cfg, None, "mmse", "selective", 1, np.random.default_rng(0))
-    print(experiments._pool is None)
+    # perfbench's mc_validate set-up is such a call: it must not load the pool's modules.
+    modules = ("concurrent.futures", "multiprocessing")
+    print(experiments._pool is None, *(name in sys.modules for name in modules))
     """
     out, err = _python(code).communicate(timeout=120)
-    assert (out.split(), err) == (["True"], "")
+    assert (out.split(), err) == (["True", "False", "False"], "")
 
 
 @needs_two_cpus
@@ -143,7 +152,9 @@ def test_workers_pin_blas_and_leave_the_callers_environment():
     names = experiments.BLAS_THREAD_VARS
     cfg = SystemConfig(n_subcarriers=16, cdma_users=3, ofdma_users=0, multipath_taps=2)
     experiments.empirical_cdma_sinr(cfg, None, "mf", "selective", 2, np.random.default_rng(0))
-    print(*experiments._gather(experiments._submit_to_workers(os.getenv, (), list(names))))
+    futures = []
+    experiments._submit_to_workers(os.getenv, (), list(names), futures)
+    print(*(future.result() for future in futures))
     print(*(name in os.environ for name in names))
     """
     out, err = _python(code).communicate(timeout=120)
@@ -278,10 +289,9 @@ def _record_futures(monkeypatch):
     futures = []
     submit = experiments._submit_to_workers
 
-    def recording(*args):
-        started = submit(*args)
-        futures.extend(started)
-        return started
+    def recording(fn, args, chunks, submitted):
+        submit(fn, args, chunks, submitted)
+        futures.extend(submitted)
 
     monkeypatch.setattr(experiments, "_submit_to_workers", recording)
     return futures
@@ -297,6 +307,40 @@ def test_pipelined_sweep_matches_a_run_on_one_cpu(monkeypatch, name):
     serial = _sweep(name)
     assert pooled.columns == serial.columns
     np.testing.assert_array_equal(_table(pooled), _table(serial))
+
+
+# Validation needs 100 trials; a small band keeps them cheap.
+VALIDATION = SystemConfig(n_subcarriers=32, alpha=0.2, multipath_taps=4)
+
+
+@needs_two_cpus
+def test_pooled_validation_matches_a_run_on_one_cpu(monkeypatch):
+    futures = _record_futures(monkeypatch)
+    pooled = run_sinr_validation(VALIDATION, trials=100, seed=5)
+    assert len(futures) == 4 * min(experiments._usable_cpus(), 100)
+    assert all(future.done() for future in futures)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    serial = run_sinr_validation(VALIDATION, trials=100, seed=5)
+    assert pooled == serial  # no NaN cell: 6 users are simulated
+
+
+@needs_two_cpus
+def test_a_worker_error_in_a_later_validation_row_reaches_the_caller(monkeypatch):
+    # At 140 dB the 3-user MMSE system fails its residual check, while
+    # the MF rows, which come first, succeed.
+    cfg = SystemConfig(n_subcarriers=4, cdma_users=3, ofdma_users=0, multipath_taps=1)
+    cfg = cfg.replace(q=1e14 * cfg.sigma2)
+    futures = _record_futures(monkeypatch)
+    with pytest.raises(NumericalError) as pooled:
+        run_sinr_validation(cfg, trials=100)
+    assert len(futures) == 4 * min(experiments._usable_cpus(), 100)
+    assert all(future.done() for future in futures)
+    assert all(future.exception() is None for future in futures[: len(futures) // 2])
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    with pytest.raises(NumericalError) as serial:
+        run_sinr_validation(cfg, trials=100)
+    assert type(pooled.value) is NumericalError
+    assert str(pooled.value) == str(serial.value)
 
 
 @needs_two_cpus
