@@ -20,10 +20,12 @@ A feasible primal is recovered by fixing subcarrier assignments and
 solving the convex problem that is left exactly: a Newton iteration on
 each user's cap price inside a safeguarded Newton iteration on the
 interference price.  Recovery solves a stack of assignments exactly and
-keeps the best.  The dual loop passes the assignment won at its best
-center; the prices of that solve are themselves a dual point, which can
-lower the dual bound.  The reported duality gap and ``converged`` flag
-are measured against the allocation that is returned.
+keeps the best.  The dual loop recovers in one place, :func:`_recover`,
+from the assignment won at its best center: at the first iteration,
+every RECOVERY_INTERVAL iterations and after the loop.  The prices of
+that solve are themselves a dual point, which can lower the dual bound.
+The reported duality gap and ``converged`` flag are measured against
+the allocation that is returned.
 
 Tiny instances (K**N <= EXHAUSTIVE_LIMIT) skip the dual loop and pass
 all K**N assignments, so the best one is the optimum and its duality gap
@@ -160,7 +162,10 @@ class PowerAllocation:
 @dataclass
 class DualState:
     """Bookkeeping of one :func:`solve_p1` call: ``iteration`` is 0 when no
-    dual loop ran, and ``kkt_delta``/``kkt_lambdas`` are always set."""
+    dual loop ran, and ``kkt_delta``/``kkt_lambdas`` are always set.
+    ``gap_trace`` has ``iteration + 1`` entries on the dual path, else 1.
+    ``trace``, when recorded, holds the evaluated centers and then the
+    returned allocation at its KKT prices."""
 
     iteration: int = 0
     gap_trace: list = field(default_factory=list)
@@ -412,6 +417,74 @@ def _best_assignment(problem, owners):
 # Full solvers
 # ---------------------------------------------------------------------------
 
+def _record(state, problem, iteration, delta, lambdas, powers):
+    """Append one row to ``state.trace``, if it is recorded: the prices and what powers achieve."""
+    if state.trace is not None:
+        state.trace.append(
+            {
+                "iteration": iteration,
+                "duality_gap": state.gap_trace[-1],
+                "delta": delta,
+                "lambdas": lambdas,
+                "throughput": throughput(problem, powers),
+                "mean_interference": float(np.sum(powers * problem.gains)) / problem.n_subcarriers,
+                "user_power": powers.sum(axis=1),
+            }
+        )
+
+
+def _recover(problem, owner, best, upper):
+    """Recover at ``owner``: the better of its exact solve and ``best``, and the lowered bound."""
+    found = _best_assignment(problem, owner[None])
+    upper = min(upper, _dual_value(problem, found[2], found[3])[0])
+    if best is None or found[0] > best[0]:
+        best = found
+    return best, upper
+
+
+def _minimize_dual(problem, max_iterations, state):
+    """Central-cut ellipsoid minimization of the dual; returns the best recovered primal."""
+    # Above these prices no candidate power is positive and the dual only
+    # grows, so the box [0, top] holds a dual minimizer; the starting
+    # ellipsoid is the smallest axis-aligned one around it.
+    top = np.concatenate(([1.0], problem.gains.max(axis=1))) / (problem.noise_floor * LN2)
+    dim = problem.n_users + 1
+    center = 0.5 * top
+    shape = np.diag(dim * center**2)
+    lower, upper, best_value, best = -np.inf, np.inf, np.inf, None
+    for t in range(1, max_iterations + 1):
+        state.iteration = t
+        if np.any(center < 0):
+            # Feasibility cut: every price is nonnegative.
+            cut = -np.eye(dim)[np.argmin(center)]
+            powers = None
+        else:
+            value, powers, owner = _dual_value(problem, center[0], center[1:])
+            cut = _subgradient(problem, powers)
+            if value < best_value:
+                best_value, best_owner = value, owner
+            upper = min(upper, value)
+        root = float(np.sqrt(cut @ shape @ cut))
+        if powers is not None:
+            # The ellipsoid holds a minimizer x*, and f(x*) >= f(c) + g(x* - c).
+            lower = max(lower, value - root)
+        if t == 1 or t % RECOVERY_INTERVAL == 0:
+            best, upper = _recover(problem, best_owner, best, upper)
+        # Clipped at 0: a tight bound can fall a rounding below the primal.
+        state.gap_trace.append(max(0.0, float(upper - best[0]) / max(best[0], 1e-12)))
+        if powers is not None:
+            _record(state, problem, t, center[0], center[1:].copy(), powers)
+        # The recovered throughput is also a lower bound on the dual.
+        if not root > 0 or upper - max(lower, best[0]) <= DUAL_TOLERANCE * upper:
+            break
+        step = shape @ cut / root
+        center = center - step / (dim + 1)
+        shape = dim**2 / (dim**2 - 1.0) * (shape - 2.0 / (dim + 1) * np.outer(step, step))
+    best, upper = _recover(problem, best_owner, best, upper)
+    state.gap_trace.append(max(0.0, float(upper - best[0]) / max(best[0], 1e-12)))
+    return best
+
+
 def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
     """Dual-decomposition solve of the capped, margin-constrained problem.
 
@@ -427,10 +500,9 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
     of the restricted solve that gave the returned allocation.
     """
     opts = options or SolverOptions()
-    gains, caps = problem.gains, problem.power_caps
     n_users, n = problem.n_users, problem.n_subcarriers
     state = DualState(trace=[] if opts.record_trace else None)
-    usable = (caps > 0) & np.any(gains > 0, axis=1)
+    usable = (problem.power_caps > 0) & np.any(problem.gains > 0, axis=1)
     if problem.margin <= 0 or not np.any(usable):
         # Nothing to allocate: no user can put power on a positive gain
         # within the margin, so every rate is zero.
@@ -443,63 +515,10 @@ def solve_p1(problem: AllocationProblem, options: SolverOptions | None = None):
         best = _best_assignment(problem, owners)
         state.gap_trace.append(0.0)
     else:
-        # Above these prices no candidate power is positive and the dual
-        # only grows, so the box [0, top] holds a dual minimizer; the
-        # starting ellipsoid is the smallest axis-aligned one around it.
-        top = np.concatenate(([1.0], gains.max(axis=1))) / (problem.noise_floor * LN2)
-        dim = n_users + 1
-        center = 0.5 * top
-        shape = np.diag(dim * center**2)
-        lower, upper, best_value, best, stop = -np.inf, np.inf, np.inf, None, False
-        # The pass after the last iteration only recovers a primal from
-        # the best center and records the gap of the returned allocation.
-        for t in range(1, opts.max_iterations + 2):
-            final = stop or t > opts.max_iterations
-            if not final:
-                state.iteration = t
-                if np.any(center < 0):
-                    # Feasibility cut: every price is nonnegative.
-                    cut = -np.eye(dim)[np.argmin(center)]
-                    powers = None
-                else:
-                    value, powers, owner = _dual_value(problem, center[0], center[1:])
-                    cut = _subgradient(problem, powers)
-                    if value < best_value:
-                        best_value, best_owner = value, owner
-                    upper = min(upper, value)
-                root = float(np.sqrt(cut @ shape @ cut))
-                if powers is not None:
-                    # The ellipsoid holds a minimizer x*, and f(x*) >= f(c) + g(x* - c).
-                    lower = max(lower, value - root)
-            if final or t == 1 or t % RECOVERY_INTERVAL == 0:
-                found = _best_assignment(problem, best_owner[None])
-                upper = min(upper, _dual_value(problem, found[2], found[3])[0])
-                if best is None or found[0] > best[0]:
-                    best = found
-            # Clipped at 0: a tight bound can fall a rounding below the primal.
-            state.gap_trace.append(max(0.0, float(upper - best[0]) / max(best[0], 1e-12)))
-            if final:
-                break
-            if state.trace is not None and powers is not None:
-                state.trace.append(
-                    {
-                        "iteration": t,
-                        "duality_gap": state.gap_trace[-1],
-                        "delta": center[0],
-                        "lambdas": center[1:].copy(),
-                        "throughput": throughput(problem, powers),
-                        "mean_interference": float(np.sum(powers * gains)) / n,
-                        "user_power": powers.sum(axis=1),
-                    }
-                )
-            # The recovered throughput is also a lower bound on the dual.
-            stop = not root > 0 or upper - max(lower, best[0]) <= DUAL_TOLERANCE * upper
-            if not stop:
-                step = shape @ cut / root
-                center = center - step / (dim + 1)
-                shape = dim**2 / (dim**2 - 1.0) * (shape - 2.0 / (dim + 1) * np.outer(step, step))
+        best = _minimize_dual(problem, opts.max_iterations, state)
 
     value, powers, state.kkt_delta, state.kkt_lambdas = best
+    _record(state, problem, state.iteration + 1, state.kkt_delta, state.kkt_lambdas, powers)
     state.converged = bool(state.gap_trace[-1] < opts.gap_tolerance)
     return PowerAllocation.from_powers(powers), state, value
 

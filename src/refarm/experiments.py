@@ -460,8 +460,8 @@ def run_convergence_trace(
 ) -> TraceResult:
     """Per-iteration dual/primal evolution for one light- or heavy-load solve.
 
-    The last row reports the recovered final solution rather than a raw
-    iterate, so the trace ends on the returned allocation.
+    One row per record of the solve's ``DualState.trace``, whose last
+    record is the returned allocation.
     """
     point = _regime_config(cfg, load_regime, receiver)
     options = replace(solver or SolverOptions(), record_trace=True)
@@ -474,18 +474,9 @@ def run_convergence_trace(
         + ["throughput", "mean_interference"]
         + [f"power_{k + 1}" for k in range(n_users)]
     )
-    final = {
-        "iteration": state.iteration + 1,
-        "duality_gap": state.gap_trace[-1],
-        "delta": state.kkt_delta,
-        "lambdas": state.kkt_lambdas,
-        "throughput": rate,
-        "mean_interference": alloc.mean_interference(problem.gains),
-        "user_power": alloc.user_totals(),
-    }
     scalars = ("iteration", "duality_gap", "delta", "throughput", "mean_interference")
     rows = []
-    for record in state.trace + [final]:
+    for record in state.trace:
         row = {key: record[key] for key in scalars}
         for k in range(n_users):
             row[f"lambda_{k + 1}"] = record["lambdas"][k]

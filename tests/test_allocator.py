@@ -490,6 +490,60 @@ def test_gap_trace_monotone_nonincreasing():
     assert np.all(np.diff(trace) <= 1e-12)
 
 
+@pytest.mark.parametrize(
+    "margin, max_iterations, iterations",
+    [(1e4, 5000, None), (1e4, 40, 40), (1e4, 1, 1), (0.5, 5000, 1)],
+    ids=["stops", "capped", "one_iteration", "first_center"],
+)
+def test_dual_loop_recovers_on_schedule(monkeypatch, margin, max_iterations, iterations):
+    # At margin 0.5 the channel inverse is optimal and its restricted
+    # solve certifies the first center, so the loop stops there.
+    monkeypatch.setattr(allocator, "RECOVERY_INTERVAL", 7)
+    recoveries = []
+    solve = allocator._best_assignment
+    monkeypatch.setattr(
+        allocator, "_best_assignment", lambda p, owners: recoveries.append(owners) or solve(p, owners)
+    )
+    gains = np.random.default_rng(10).exponential(1.0, size=(2, 64))
+    problem = AllocationProblem(gains=gains, noise_floor=2.0, margin=margin, power_caps=[50.0, 50.0])
+    _, state, _ = solve_p1(problem, SolverOptions(max_iterations=max_iterations))
+    if iterations is None:  # stops on its own after several intervals
+        assert 7 * 3 < state.iteration < max_iterations
+    else:
+        assert state.iteration == iterations
+    assert len(state.gap_trace) == state.iteration + 1
+    # At the first iteration, at every seventh and once after the loop.
+    assert len(recoveries) == 2 + state.iteration // 7
+    assert all(owners.shape == (1, 64) for owners in recoveries)
+
+
+@pytest.mark.parametrize(
+    "gains, caps, margin, path",
+    [
+        (np.random.default_rng(6).exponential(1.0, size=(2, 64)), [100.0, 100.0], 2.0, "dual"),
+        (np.random.default_rng(6).exponential(1.0, size=(2, 6)), [100.0, 100.0], 2.0, "enumerated"),
+        (np.ones((2, 64)), [0.0, 0.0], 2.0, "trivial"),
+    ],
+    ids=["dual", "enumerated", "trivial"],
+)
+def test_trace_ends_on_the_returned_allocation(gains, caps, margin, path):
+    problem = AllocationProblem(gains=gains, noise_floor=6.0, margin=margin, power_caps=caps)
+    alloc, state, value = solve_p1(problem, SolverOptions(max_iterations=1500, record_trace=True))
+    assert (state.iteration > 0) == (path == "dual") and state.trivial == (path == "trivial")
+    # Before the last row, one row per evaluated center of the dual loop.
+    centers = [row["iteration"] for row in state.trace[:-1]]
+    assert centers == sorted(set(centers)) and set(centers) <= set(range(1, state.iteration + 1))
+    assert bool(centers) == (path == "dual")
+    last = state.trace[-1]
+    assert last["iteration"] == state.iteration + 1
+    assert last["duality_gap"] == state.gap_trace[-1]
+    assert last["throughput"] == value
+    assert last["delta"] == state.kkt_delta
+    np.testing.assert_array_equal(last["lambdas"], state.kkt_lambdas)
+    assert last["mean_interference"] == alloc.mean_interference(gains)
+    np.testing.assert_array_equal(last["user_power"], alloc.user_totals())
+
+
 def test_light_and_heavy_regimes_small_instance():
     rng = np.random.default_rng(7)
     gains = rng.exponential(1.0, size=(2, 64))

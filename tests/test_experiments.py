@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refarm import SolverOptions, SystemConfig, linear_to_db
+from refarm import SolverOptions, SystemConfig, experiments, linear_to_db
 from refarm.experiments import (
     SweepSpec,
     run_allocation_snapshot,
@@ -106,6 +106,28 @@ def test_trace_iteration_column_and_gap_trace():
     assert iterations == sorted(iterations)
     gaps = np.array([row["duality_gap"] for row in result.rows])
     assert gaps[-1] <= gaps[0]
+
+
+def test_trace_rows_are_the_solver_trace(monkeypatch):
+    states = []
+    solve = experiments.solve_p1
+
+    def recording(*args):
+        solved = solve(*args)
+        states.append(solved[1])
+        return solved
+
+    monkeypatch.setattr(experiments, "solve_p1", recording)
+    result = run_convergence_trace(SMALL, "light", "mf", seed=3, solver=FAST_SOLVER)
+    records = states[0].trace
+    assert len(result.rows) == len(records) > 1
+    for row, record in zip(result.rows, records):
+        for key in ("iteration", "duality_gap", "delta", "throughput", "mean_interference"):
+            assert row[key] == record[key]
+        for k in range(2):
+            assert row[f"lambda_{k + 1}"] == record["lambdas"][k]
+            assert row[f"power_{k + 1}"] == record["user_power"][k]
+    assert result.rows[-1]["throughput"] == result.throughput
 
 
 def test_snapshot_heavy_is_channel_inverse():
