@@ -118,7 +118,10 @@ def _cmd_sweep(settings, args, out):
 
 def _cmd_regime(settings, args, out):
     run = run_convergence_trace if args.command == "trace" else run_allocation_snapshot
-    result = run(settings.system, args.regime, settings.receiver, args.seed, settings.solver)
+    result = run(
+        settings.system, args.regime, settings.receiver, settings.channel_model,
+        args.seed, settings.solver,
+    )
     path = out / f"{args.command}_{args.regime}.csv"
     cli_io.emit_csv(result.rows, result.columns, path)
     return [path]

@@ -23,7 +23,6 @@ from .errors import ConfigError, InvalidParameterError
 _SYSTEM_KEYS = {
     "subcarriers": ("int", 256),
     "alpha": ("float", 0.2),
-    "cdma_users": ("optional_int", None),
     "ofdma_users": ("int", 2),
     "multipath": ("optional_int", None),
     "receive_snr_db": ("float", 20.0),
@@ -182,7 +181,6 @@ def parse_config(path=None, overrides=()) -> RunSettings:
         cfg = SystemConfig(
             n_subcarriers=system["subcarriers"],
             alpha=system["alpha"],
-            cdma_users=system["cdma_users"],
             ofdma_users=system["ofdma_users"],
             multipath_taps=system["multipath"],
             q=db_to_linear(system["receive_snr_db"]) * sigma2,
@@ -243,8 +241,6 @@ def emit_resolved_config(settings: RunSettings, path):
     """Write the fully resolved configuration; parsing it back is identity."""
 
     def text(value):
-        if value is None:
-            return ""
         if isinstance(value, tuple):
             return ",".join(repr(float(v)) for v in value)
         if isinstance(value, float):

@@ -49,9 +49,10 @@ class SystemConfig:
         integer user count used by finite simulations is ``cdma_users``;
         when not given it is ``round(alpha * n_subcarriers)``.
     cdma_users : int, optional
-        Explicit CDMA user count.  Overrides the value derived from
-        ``alpha`` in finite-dimension simulations; closed-form expressions
-        keep using ``alpha`` as given.
+        Explicit CDMA user count, a library-only override: the CLI takes
+        no such key and always simulates ``round(alpha * n_subcarriers)``.
+        Overrides the value derived from ``alpha`` in finite-dimension
+        simulations; closed-form expressions keep using ``alpha`` as given.
     ofdma_users : int
         Number of OFDMA uplink users sharing the band.
     multipath_taps : int, optional

@@ -243,8 +243,8 @@ def _run_trials(calls):
             users, n = cfg.cdma_users, cfg.n_subcarriers
             if users * max(users, n) > MAX_SIMULATED_ENTRIES:
                 raise InvalidParameterError(
-                    f"cdma_users = {users} is too many to simulate at {n} subcarriers: "
-                    f"users x max(users, subcarriers) exceeds {MAX_SIMULATED_ENTRIES}"
+                    f"cdma_users = {users} (alpha = {cfg.alpha:g}) is too many to simulate at {n} "
+                    f"subcarriers: users x max(users, subcarriers) exceeds {MAX_SIMULATED_ENTRIES}"
                 )
             # Nothing draws from a trial's own stream, so it is spawned as a
             # SeedSequence; its two children are the Generators that
@@ -455,6 +455,7 @@ def run_convergence_trace(
     cfg: SystemConfig,
     load_regime: str,
     receiver: str = "mf",
+    channel_model: str = "selective",
     seed: int = DEFAULT_SEED,
     solver: SolverOptions | None = None,
 ) -> TraceResult:
@@ -465,7 +466,7 @@ def run_convergence_trace(
     """
     point = _regime_config(cfg, load_regime, receiver)
     options = replace(solver or SolverOptions(), record_trace=True)
-    _, problem, alloc, state, rate = _solve_instance(point, receiver, "selective", seed, options)
+    _, problem, alloc, state, rate = _solve_instance(point, receiver, channel_model, seed, options)
 
     n_users = problem.n_users
     columns = (
@@ -506,12 +507,13 @@ def run_allocation_snapshot(
     cfg: SystemConfig,
     load_regime: str,
     receiver: str = "mf",
+    channel_model: str = "selective",
     seed: int = DEFAULT_SEED,
     solver: SolverOptions | None = None,
 ) -> SnapshotResult:
     """Per-subcarrier owner/power/gain table for one solved instance."""
     point = _regime_config(cfg, load_regime, receiver)
-    snapshot, _ = run_allocation(point, receiver, "selective", seed, solver)
+    snapshot, _ = run_allocation(point, receiver, channel_model, seed, solver)
     return snapshot
 
 

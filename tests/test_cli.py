@@ -1,6 +1,8 @@
+import configparser
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -49,7 +51,6 @@ def test_overrides_are_applied():
 _NON_DEFAULT_VALUES = {
     "system.subcarriers": "128",
     "system.alpha": "0.3",
-    "system.cdma_users": "40",
     "system.ofdma_users": "3",
     "system.multipath": "16",
     "system.receive_snr_db": "15",
@@ -78,6 +79,22 @@ def test_every_config_key_changes_the_run_settings(key):
     # RunSettings compares without ``raw``, the resolved text of every key.
     changed = parse_config(None, [f"{key}={_NON_DEFAULT_VALUES[key]}"])
     assert changed != parse_config(None)
+
+
+def _doc(*parts):
+    return open(os.path.join(os.path.dirname(__file__), "..", *parts), encoding="utf-8").read()
+
+
+def test_documented_config_keys_are_the_parsed_keys():
+    # README's configuration block and the key count in the CSV schemas
+    # must name exactly the keys parse_config takes.
+    block = re.search(r"```ini\n(.*?)```", _doc("README.md"), re.S).group(1)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    documented = {section: list(parser[section]) for section in parser.sections()}
+    assert documented == {section: list(keys) for section, keys in cli_io._SECTIONS.items()}
+    count = int(re.search(r"\((\d+) in all\)", _doc("docs", "csv_schemas.md")).group(1))
+    assert count == sum(len(keys) for keys in cli_io._SECTIONS.values())
 
 
 def test_unknown_key_is_named():
@@ -259,7 +276,9 @@ def test_load_too_large_to_simulate_exits_2_before_any_draw(tmp_path, capsys, mo
     out = tmp_path / "run"
     args = ["--out", str(out), "--set", "alpha=1e5", "--trials", "100", "validate"]
     assert main(args) == EXIT_CONFIG
-    assert "cdma_users = 25600000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cdma_users = 25600000" in err
+    assert "alpha = 100000" in err
     assert not (out / "validation.csv").exists()
     for command in ("margin", "allocate"):
         assert main(["--out", str(out), "--quiet", "--set", "alpha=1e5", command]) == EXIT_OK
@@ -334,6 +353,15 @@ def test_rerun_from_a_sweep_snr_resolved_config_reproduces_its_csv(tmp_path):
     assert (rerun / "resolved_config.ini").read_bytes() == config.read_bytes()
 
 
+def test_cdma_users_key_exits_2_naming_it_before_writing(tmp_path, capsys):
+    # Every command simulates round(alpha * subcarriers) users, the load
+    # the theory and the margin use; no second count can be set.
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "--set", "cdma_users=150", "validate"]) == EXIT_CONFIG
+    assert "cdma_users" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_and_snapshot_commands(tmp_path):
     out = tmp_path / "run"
     assert main(["--out", str(out), "--quiet", *TINY, "trace", "--regime", "heavy"]) == EXIT_OK
@@ -342,6 +370,36 @@ def test_trace_and_snapshot_commands(tmp_path):
     assert trace_header.split(",")[:3] == ["iteration", "duality_gap", "delta"]
     snap_header = (out / "snapshot_light.csv").read_text().splitlines()[0]
     assert snap_header.split(",")[:2] == ["subcarrier", "owner"]
+
+
+def test_trace_and_snapshot_use_the_channel_model(tmp_path):
+    flat = [*TINY, "--set", "channel_model=flat"]
+    for name, args in [
+        ("selective", [*TINY, "trace", "--regime", "light"]),
+        ("flat", [*flat, "trace", "--regime", "light"]),
+        ("flat", [*flat, "snapshot", "--regime", "light"]),
+    ]:
+        assert main(["--out", str(tmp_path / name), "--quiet", *args]) == EXIT_OK
+    # The light regime's own load, allocated directly on flat channels.
+    # TINY leaves q, sigma2 and beta_star at their defaults.
+    cfg = SystemConfig()
+    alpha = experiments.REGIME_LOAD_FRACTION["light"] * refarm.supportable_load(
+        cfg.q, cfg.sigma2, cfg.beta_star, "mf"
+    )
+    allocated = tmp_path / "allocate"
+    args = [*flat, "--set", f"alpha={alpha!r}", "allocate"]
+    assert main(["--out", str(allocated), "--quiet", *args]) == EXIT_OK
+
+    snapshot = (tmp_path / "flat" / "snapshot_light.csv").read_bytes()
+    assert snapshot == (allocated / "allocation.csv").read_bytes()
+    trace = (tmp_path / "flat" / "trace_light.csv").read_text()
+    assert trace != (tmp_path / "selective" / "trace_light.csv").read_text()
+    header, *rows = (line.split(",") for line in trace.splitlines())
+    final = dict(zip(header, rows[-1]))
+    head, values = (allocated / "allocation_summary.csv").read_text().splitlines()
+    summary = dict(zip(head.split(","), values.split(",")))
+    for column in ("throughput", "power_1", "power_2"):
+        assert float(final[column]) == pytest.approx(float(summary[column]), rel=1e-11)
 
 
 def test_validate_command(tmp_path):
@@ -381,6 +439,7 @@ def test_no_ofdma_users(tmp_path, command):
     [
         ("[system]\ncp_length = 31\n", "cp_length"),
         ("[system]\nbandwidth_hz = 5e6\n", "bandwidth_hz"),
+        ("[system]\ncdma_users = 40\n", "cdma_users"),
         ("[sweep]\nparameter = alpha\n", "parameter"),
         ("[solver]\nmax_iterations = 0\n", "max_iterations"),
         ("[solver]\ngap_tolerance = 0\n", "gap_tolerance"),
@@ -398,7 +457,7 @@ def test_no_ofdma_users(tmp_path, command):
         ("[sweep]\ngrid = " + ",".join(["0.1"] * 1001) + "\n", "grid"),
     ],
     ids=[
-        "cp_length", "bandwidth_hz", "parameter", "max_iterations", "gap_tolerance",
+        "cp_length", "bandwidth_hz", "cdma_users", "parameter", "max_iterations", "gap_tolerance",
         "step_scale", "delta_init", "lambda_init",
         "alpha-nan", "alpha-1e308", "receive_snr_db-inf", "noise_power-inf", "grid-nan",
         "grid-1e12-points", "grid-1e7-points", "grid-range-nan", "grid-1001-values",
@@ -482,7 +541,7 @@ print("scipy.optimize" in sys.modules, "scipy.linalg" in sys.modules)
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # At 140 dB the 3-user MMSE system is too ill-conditioned for the
     # residual check of its linear solve.
-    overrides = ["subcarriers=4", "multipath=1", "cdma_users=3", "receive_snr_db=140"]
+    overrides = ["subcarriers=4", "multipath=1", "alpha=0.75", "receive_snr_db=140"]
     args = [arg for item in overrides for arg in ("--set", item)]
     assert main(["--out", str(tmp_path), *args, "validate"]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure:")
@@ -499,8 +558,8 @@ def test_without_quiet_each_written_path_is_printed(tmp_path, capsys):
 # records new digests here.  The sweeps and `validate` are left out
 # because their Monte Carlo MMSE goes through BLAS; the Monte Carlo test
 # at the end of this module pins them at a tolerance instead.
-MF_CONFIG = "3da619b23de7746e59aecc527985ba54e81593ca52953a16c1d365f963eda3d7"
-MMSE_CONFIG = "2f6f36574096d08e6170c6c67c48553b21eff47c185f20a2b5578239b7fcd432"
+MF_CONFIG = "13fb2d4a12fdc116a2aae75132b6e500ffc5e4dd2fab33833436bd51db7d7191"
+MMSE_CONFIG = "111e04fa63bbbf3450d007c2b9a6af13b78e0b9c54f930128e0bdee8b33caf35"
 ALLOCATION = "529902f8b6f472160574265ff32ae2fe4e24f5f252636dc82aebad84dd74cf1f"
 GOLDEN = {
     "margin": (
@@ -531,7 +590,7 @@ GOLDEN = {
         {
             "allocation.csv": "357b703f41b1273819c3c86e2fad428d95c22b48d2e688dbfb11bc14fd5ca9c3",
             "allocation_summary.csv": "056f18ef61b7dc34acfc3b816996ac8d72814cc010adb57ed8d01f2e262ea9e6",
-            "resolved_config.ini": "7e7087af2c04e74dbae02a80299dbd5fa9fa3fd5a45729dc01a02e27218c50cf",
+            "resolved_config.ini": "b104dd87aefd27957ef827da99096fd22902b792f251493096d68f754e6caaad",
         },
     ),
     # This output is the known flat-channel defect (ROADMAP open item 1):
@@ -543,7 +602,7 @@ GOLDEN = {
         {
             "allocation.csv": "57503b5309f1c3041400646de12d57e5aefd655d52a31129aaca2ae7b1154b3d",
             "allocation_summary.csv": "fed3bb6fc5ee275d63c806b3fde8b75366317fcd71fba0c0dff071562ef5a067",
-            "resolved_config.ini": "60d859cea5180db4f0164ebb36bdcab889bdf4cccb58137ea6fb7dd1e0ea368d",
+            "resolved_config.ini": "97ecb8d1183e5584d96a0781e04608d69b5c003c1c0d349106def361a2d75acd",
         },
     ),
     # 2**8 assignments: solve_p1 enumerates them and runs no dual loop.
@@ -552,7 +611,7 @@ GOLDEN = {
         {
             "allocation.csv": "1eebdf362ce1dc8b8645fa4599853fb52ad864a2a89725c4c6d2da020590724b",
             "allocation_summary.csv": "2a22b14726b988ba1fcc5c8910988965a2fe16f32c1cea0a87b9715c74e58345",
-            "resolved_config.ini": "862509d92c227641312efa6f1e3bc5395d85f45fb6643b7ad07384a482d30853",
+            "resolved_config.ini": "baf74b8b45096dd483ae161a00d9b82df808379eb3b40a4de7772aa3199e6ed8",
         },
     ),
 }
