@@ -451,7 +451,7 @@ def _minimize_dual(problem, max_iterations, state):
     dim = problem.n_users + 1
     center = 0.5 * top
     shape = np.diag(dim * center**2)
-    lower, upper, best_value, best = -np.inf, np.inf, np.inf, None
+    lower, upper, best_value, best, recovered = -np.inf, np.inf, np.inf, None, None
     for t in range(1, max_iterations + 1):
         state.iteration = t
         if np.any(center < 0):
@@ -470,6 +470,7 @@ def _minimize_dual(problem, max_iterations, state):
             lower = max(lower, value - root)
         if t == 1 or t % RECOVERY_INTERVAL == 0:
             best, upper = _recover(problem, best_owner, best, upper)
+            recovered = best_owner
         # Clipped at 0: a tight bound can fall a rounding below the primal.
         state.gap_trace.append(max(0.0, float(upper - best[0]) / max(best[0], 1e-12)))
         if powers is not None:
@@ -480,7 +481,8 @@ def _minimize_dual(problem, max_iterations, state):
         step = shape @ cut / root
         center = center - step / (dim + 1)
         shape = dim**2 / (dim**2 - 1.0) * (shape - 2.0 / (dim + 1) * np.outer(step, step))
-    best, upper = _recover(problem, best_owner, best, upper)
+    if best_owner is not recovered:  # recovering it again would change nothing
+        best, upper = _recover(problem, best_owner, best, upper)
     state.gap_trace.append(max(0.0, float(upper - best[0]) / max(best[0], 1e-12)))
     return best
 

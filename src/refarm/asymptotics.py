@@ -60,6 +60,11 @@ def _check_receiver(receiver):
         raise InvalidParameterError(f"receiver must be one of {RECEIVERS}")
 
 
+def _mmse_map(x, alpha, q, prof, sigma2) -> float:
+    """The self-consistent MMSE map at x: E_n[q / (alpha q/(1+x) + sigma_n^2 + sigma2)]."""
+    return float(np.mean(q / (alpha * q / (1.0 + x) + prof + sigma2)))
+
+
 def mf_asymptotic_selective(channels: ChannelSet, q, profile, sigma2) -> np.ndarray:
     """Deterministic per-user MF SINR from channel moments only.
 
@@ -101,7 +106,7 @@ def mmse_fixed_point_uniform(alpha, q, profile, sigma2, x0=None) -> FixedPointSo
     if not 0 < x < np.inf:
         raise InvalidParameterError("start point x0 must be finite and > 0")
     for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
-        x_next = float(np.mean(q / (alpha * q / (1.0 + x) + prof + sigma2)))
+        x_next = _mmse_map(x, alpha, q, prof, sigma2)
         residual = abs(x_next - x) / max(1.0, abs(x_next))
         x = x_next
         if residual <= FIXED_POINT_TOL:
@@ -151,21 +156,17 @@ def proposition1_check(beta_star, alpha, q, sigma2, profile) -> bool:
     """
     _validate_positive(q=q, sigma2=sigma2, beta_star=beta_star)
     prof = profile_array(profile)
-    lhs = float(np.mean(q / (alpha * q / (1.0 + beta_star) + prof + sigma2)))
-    return lhs >= beta_star * (1.0 - 1e-12)
+    return _mmse_map(beta_star, alpha, q, prof, sigma2) >= beta_star * (1.0 - 1e-12)
 
 
 def jensen_reinforcement_gap(beta, alpha, q, sigma2, profile) -> tuple[float, float]:
     """LHS/RHS of the mean-interference bound used to set the MMSE margin.
 
-    lhs = E_n[q / (alpha q/(1+beta) + sigma_n^2 + sigma2)] and rhs is the
-    same expression evaluated at the mean profile; lhs >= rhs always, with
-    equality exactly on uniform profiles.
+    lhs is the self-consistent map at x = beta, E_n[q / (alpha q/(1+beta)
+    + sigma_n^2 + sigma2)], and rhs the same map at the mean profile;
+    lhs >= rhs always, with equality exactly on uniform profiles.
     """
     _validate_positive(q=q, sigma2=sigma2)
     prof = profile_array(profile)
-    base = alpha * q / (1.0 + beta) + sigma2
-    lhs = float(np.mean(q / (base + prof)))
-    rhs = float(q / (base + prof.mean()))
-    return lhs, rhs
+    return _mmse_map(beta, alpha, q, prof, sigma2), _mmse_map(beta, alpha, q, prof.mean(), sigma2)
 

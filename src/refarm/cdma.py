@@ -21,8 +21,8 @@ G = S^H D^-1 S the Woodbury identity gives
 
 hence SINR_u = 1/[(I + q G)^-1]_uu - 1.  The MMSE kernel solves either
 this U x U system A X = I, A = I + q G, or the N x N covariance
-R = q S S^H + D directly: the U x U system below about U = 0.84 N
-(``_user_space_cheaper``).  Both check the relative residual of the
+R = q S S^H + D directly: the U x U system below U = 0.84 N
+(``USER_SPACE_LOAD_LIMIT``).  Both check the relative residual of the
 N-space solve R Y = S: the U-space solution is Y = D^-1 S X, whose
 residual R Y - S = S (A X - I) needs no N x N matrix.
 
@@ -46,6 +46,17 @@ from .channel import ChannelSet
 from .errors import InvalidParameterError, NumericalError
 
 SOLVE_RESIDUAL_TOL = 1e-10
+
+#: MMSE solves U x U when U < USER_SPACE_LOAD_LIMIT N, else N x N.  The
+#: value is the root in U/N of the two sides' multiply-add counts,
+#: 2 U^2 N + 13/6 U^3 = 3 N^2 U + N^3/6, but accuracy is what keeps it: the
+#: measured crossover at N = 256 (one BLAS thread, median of 15 calls) is
+#: 0.64-0.68 N, yet the U x U residual check is the stricter on
+#: ill-conditioned systems.  For 3 users on 4 chips at 140 dB (AWGN, 200
+#: code draws) the N x N check passes every draw with SINRs up to 1.9 %
+#: off, from cancellation in 1 - with_self, while the U x U check refuses
+#: 73 draws and passes the rest within 0.34 %.
+USER_SPACE_LOAD_LIMIT = 0.8382313079713307
 
 # Every Monte Carlo trial used to allocate and free about a dozen
 # MB-sized temporaries in the SINR kernels, and glibc gave them back to
@@ -299,24 +310,6 @@ def _chip_space_solve(signatures, q, prof, sigma2):
     return with_self, _row_norms(error.T)
 
 
-def _user_space_cheaper(n_users, n):
-    """Whether to take the U x U solve: below about U = 0.84 N.
-
-    The formula counts complex multiply-adds of a general product and a
-    Cholesky solve on either side.  With the present kernels the measured
-    crossover at N = 256 (one BLAS thread, median of 15 calls) lies
-    between 0.64 N and 0.68 N, and the U-space path is up to 1.4 times
-    slower just below 0.84 N.
-    The threshold stays because the U-space residual check is the
-    stricter on ill-conditioned systems: for 3 users on 4 chips at 140 dB
-    (AWGN, 200 code draws) the N x N check passes every draw at residual
-    1e-16 with SINRs up to 1.9 % off, from cancellation in 1 - with_self,
-    while the U x U check refuses 73 draws and the rest are within 0.34 %.
-    """
-    u, n = float(n_users), float(n)
-    return 2.0 * u * u * n + 13.0 / 6.0 * u**3 < 3.0 * n * n * u + n**3 / 6.0
-
-
 def _user_space_solve(signatures, q, prof, sigma2):
     """Self-term SINRs 1 - X_uu with X = A^-1, A = I + q G, and the column
     norms of S (A X - I), the residual that the equivalent N-space
@@ -345,7 +338,7 @@ def mmse_sinr_exact(signatures, q, profile, sigma2) -> np.ndarray:
     """Exact linear-MMSE output SINR for every user at finite dimension.
 
     SINR_u = 1/[(I + q G)^-1]_uu - 1 with G = S^H D^-1 S (module
-    docstring).  Below about U = 0.84 N (``_user_space_cheaper``) the
+    docstring).  Below U = 0.84 N (``USER_SPACE_LOAD_LIMIT``) the
     inverse of the U x U matrix I + q G gives every user, after a
     Cholesky factorization has shown it positive definite; otherwise one
     Cholesky factorization of the N x N received covariance R does.
@@ -361,7 +354,7 @@ def mmse_sinr_exact(signatures, q, profile, sigma2) -> np.ndarray:
     signatures, norms = _check_signatures(signatures)
     n_users, n = signatures.shape
     prof = profile_array(profile, n)
-    solve = _user_space_solve if _user_space_cheaper(n_users, n) else _chip_space_solve
+    solve = _user_space_solve if n_users < USER_SPACE_LOAD_LIMIT * n else _chip_space_solve
     # Finite inputs can still overflow the system (q = 1e200 with
     # sigma2 = 1e-200); the checks below fail closed on the inf or NaN
     # that results, so the arithmetic need not warn on its way there.

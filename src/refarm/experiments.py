@@ -55,7 +55,7 @@ from .cdma import (
     mmse_sinr_exact,
 )
 from .channel import gen_channel_set
-from .config import RECEIVERS, SystemConfig, db_to_linear
+from .config import CHANNEL_MODELS, RECEIVERS, SystemConfig, db_to_linear
 from .errors import InvalidParameterError
 
 #: Master seed used by the command-line interface when none is given.
@@ -128,24 +128,21 @@ class SweepResult:
         return np.asarray([row[name] for row in self.rows], dtype=float)
 
 
-def _trial_means(cfg, profile, receiver, model, bit_generator, trial_seqs):
+def _trial_means(cfg, profile, receiver, model, trial_seqs):
     """Mean exact SINR over users, for each trial's SeedSequence in order.
 
-    Each trial's two children seed its spreading codes and its channels.
-    The same function runs in-process and in the worker processes.
+    Each trial's two children seed the PCG64 streams of its codes and its
+    channels.  It runs in-process and in the workers, on checked arguments.
     """
     cdma_only = cfg.replace(ofdma_users=0)
     means = np.empty(len(trial_seqs))
     for i, trial_seq in enumerate(trial_seqs):
-        code_rng, chan_rng = (np.random.Generator(bit_generator(s)) for s in trial_seq.spawn(2))
+        code_rng, chan_rng = (np.random.Generator(np.random.PCG64(s)) for s in trial_seq.spawn(2))
         codes = gen_spreading_codes(cfg.cdma_users, cfg.n_subcarriers, code_rng)
         channels = gen_channel_set(cdma_only, model, chan_rng)
         signatures = effective_signatures(codes, channels)
-        if receiver == "mf":
-            per_user = mf_sinr_exact(signatures, cfg.q, profile, cfg.sigma2)
-        else:
-            per_user = mmse_sinr_exact(signatures, cfg.q, profile, cfg.sigma2)
-        means[i] = np.mean(per_user)
+        kernel = mf_sinr_exact if receiver == "mf" else mmse_sinr_exact
+        means[i] = np.mean(kernel(signatures, cfg.q, profile, cfg.sigma2))
     return means
 
 
@@ -216,9 +213,10 @@ def _run_trials(calls):
     """``empirical_cdma_sinr``'s result for each argument tuple that ``calls`` yields.
 
     A None call simulates nothing, and gives NaN, NaN and no trial means.
-    Each call's trials start as it is yielded, so a generator that solves
-    its next point before yielding it overlaps that solve with this
-    point's trials.  The means are read in call order after the last
+    A call is refused by name, as ``empirical_cdma_sinr`` says, before
+    its first draw or submit.  Its trials start as it is yielded, so a
+    generator that solves its next point before yielding it overlaps that
+    solve with this point's trials.  The means are read in call order after the last
     call, so the first failing call is the one reported, as on one CPU.
     Any error, in ``calls``, in a worker or Ctrl-C, cancels the chunks not
     yet started and waits for the running ones before it propagates.  A
@@ -235,10 +233,17 @@ def _run_trials(calls):
             cfg, profile, receiver, model, trials, rng = call
             if trials < 1:
                 raise InvalidParameterError("trials must be >= 1")
-            seed_seq = getattr(rng.bit_generator, "seed_seq", None)
-            if not isinstance(seed_seq, np.random.SeedSequence):
+            for name, value, known in (
+                ("receiver", receiver, RECEIVERS),
+                ("channel model", model, CHANNEL_MODELS),
+            ):
+                if value not in known:
+                    raise InvalidParameterError(f"unknown {name} {value!r}, not one of {known}")
+            bits = rng.bit_generator
+            seed_seq = bits.seed_seq if type(bits) is np.random.PCG64 else None
+            if type(seed_seq) is not np.random.SeedSequence:
                 raise InvalidParameterError(
-                    "rng must be seeded from a SeedSequence, to spawn the trials"
+                    "rng must be a PCG64 generator seeded from a SeedSequence, to spawn the trials"
                 )
             users, n = cfg.cdma_users, cfg.n_subcarriers
             if users * max(users, n) > MAX_SIMULATED_ENTRIES:
@@ -248,19 +253,17 @@ def _run_trials(calls):
                 )
             # Nothing draws from a trial's own stream, so it is spawned as a
             # SeedSequence; its two children are the Generators that
-            # rng.spawn(trials)[i].spawn(2) would give.  Trials run in worker
-            # processes, a contiguous slice each, and come back in trial
+            # rng.spawn(trials)[i].spawn(2) would give.  Each worker process
+            # runs a contiguous slice, and the slices come back in trial
             # order, so every bit matches a serial run.  Processes, because
-            # in one process batching trials ran at 0.88-1.07 times the
-            # speed, and a second thread at 0.77-1.18 times on the MMSE
-            # kernel, whose scipy BLAS and LAPACK wrappers keep the GIL.  Two
-            # worker processes ran the benchmark's load sweep at 1.42 times
-            # the points per second and its validation at 1.45 times the
-            # trials per second (2-vCPU Xeon, one BLAS thread).  Spawned,
-            # not forked: a fork of a caller with unpinned BLAS threads ran
-            # the MMSE sweep 2-2.5 times slower than serial.
+            # batching trials in one process ran at 0.88-1.07 times the
+            # speed, and a second thread at 0.77-1.18 times (scipy's BLAS and
+            # LAPACK wrappers keep the GIL); two worker processes ran the
+            # load sweep at 1.42 and the validation at 1.45 times (2-vCPU
+            # Xeon, one BLAS thread).  Spawned, because a fork of a caller
+            # with unpinned BLAS threads ran the MMSE sweep 2-2.5 times slower.
             trial_seqs = seed_seq.spawn(trials) if users else []
-            args = (cfg, profile, receiver, model, type(rng.bit_generator))
+            args = (cfg, profile, receiver, model)
             workers = min(_usable_cpus(), len(trial_seqs))
             if workers < 2:
                 started.append(_trial_means(*args, trial_seqs))
@@ -303,9 +306,10 @@ def empirical_cdma_sinr(cfg: SystemConfig, profile, receiver, model, trials, rng
     Each trial draws fresh spreading codes and channels, evaluates the
     exact finite-dimension formula against the given interference profile
     and averages over users; the returned std is across trial means.
-    ``rng`` must be seeded from a SeedSequence, which spawns one child per
-    trial; ``trials`` must be at least 1, and the system no larger than
-    ``MAX_SIMULATED_ENTRIES`` allows.
+    ``receiver`` must be in ``RECEIVERS``, ``model`` in ``CHANNEL_MODELS``
+    and ``rng`` a PCG64 generator seeded from a SeedSequence, which spawns
+    one child per trial; ``trials`` must be at least 1, and the system no
+    larger than ``MAX_SIMULATED_ENTRIES`` allows.
     """
     return _run_trials([(cfg, profile, receiver, model, trials, rng)])[0]
 

@@ -491,13 +491,24 @@ def test_gap_trace_monotone_nonincreasing():
 
 
 @pytest.mark.parametrize(
-    "margin, max_iterations, iterations",
-    [(1e4, 5000, None), (1e4, 40, 40), (1e4, 1, 1), (0.5, 5000, 1)],
-    ids=["stops", "capped", "one_iteration", "first_center"],
+    "margin, max_iterations, iterations, after_loop",
+    [
+        (1e4, 5000, None, 0),
+        (1e4, 40, 40, 0),
+        (1e4, 10, 10, 1),
+        (1e4, 1, 1, 0),
+        (0.5, 5000, 1, 0),
+    ],
+    ids=["stops", "capped", "capped_on_a_new_best", "one_iteration", "first_center"],
 )
-def test_dual_loop_recovers_on_schedule(monkeypatch, margin, max_iterations, iterations):
+def test_dual_loop_recovers_on_schedule(
+    monkeypatch, margin, max_iterations, iterations, after_loop
+):
     # At margin 0.5 the channel inverse is optimal and its restricted
-    # solve certifies the first center, so the loop stops there.
+    # solve certifies the first center, so the loop stops there.  The
+    # loop recovers once more after it only when its best center has
+    # moved since the last recovery: capped at 10, the best center is
+    # past the recovery at 7; capped at 40, it is still the one recovered at 35.
     monkeypatch.setattr(allocator, "RECOVERY_INTERVAL", 7)
     recoveries = []
     solve = allocator._best_assignment
@@ -512,9 +523,12 @@ def test_dual_loop_recovers_on_schedule(monkeypatch, margin, max_iterations, ite
     else:
         assert state.iteration == iterations
     assert len(state.gap_trace) == state.iteration + 1
-    # At the first iteration, at every seventh and once after the loop.
-    assert len(recoveries) == 2 + state.iteration // 7
+    # At the first iteration, at every seventh, and after the loop only
+    # at an assignment not yet recovered.
+    assert len(recoveries) == 1 + state.iteration // 7 + after_loop
     assert all(owners.shape == (1, 64) for owners in recoveries)
+    if after_loop:
+        assert not np.array_equal(recoveries[-1], recoveries[-2])
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import re
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,9 +484,29 @@ def test_mmse_near_duplicate_signatures_fail_residual_check_in_chip_space():
     sigs = gen_spreading_codes(16, 16, np.random.default_rng(3)).astype(complex)
     sigs[1] = sigs[0]
     sigs[1, 0] += 1e-7
-    assert not cdma._user_space_cheaper(16, 16)
+    assert not 16 < cdma.USER_SPACE_LOAD_LIMIT * 16
     with pytest.raises(NumericalError, match="residual"):
         mmse_sinr_exact(sigs, 1.0, None, 1e-16)
+
+
+def test_user_space_limit_picks_the_flop_model_path():
+    # The limit is the root of the flop model that chose the MMSE path
+    # before; this is that model, and the two agree on every (U, N) with
+    # N <= 4096 and U <= 2048.
+    def flop_model_picks_user_space(u, n):
+        return 2.0 * u * u * n + 13.0 / 6.0 * u**3 < 3.0 * n * n * u + n**3 / 6.0
+
+    users = np.arange(1, 2049, dtype=float)
+    for n in range(1, 4097):
+        limit = users < cdma.USER_SPACE_LOAD_LIMIT * n
+        np.testing.assert_array_equal(limit, flop_model_picks_user_space(users, float(n)), f"{n=}")
+
+
+def test_documented_path_threshold_is_the_limit():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    documented = re.findall(r"(\d\.\d+) N\b", readme + cdma.__doc__ + cdma.mmse_sinr_exact.__doc__)
+    assert len(documented) >= 4
+    assert set(documented) == {f"{cdma.USER_SPACE_LOAD_LIMIT:.2f}"}
 
 
 def test_mmse_overflowing_system_is_numerical_error():
@@ -492,7 +514,7 @@ def test_mmse_overflowing_system_is_numerical_error():
     # system to inf; the solve must fail closed on the inf and NaN that
     # follow, without a factorization that checks its operands.
     sigs = _signatures(20, n=64)
-    assert cdma._user_space_cheaper(20, 64)
+    assert 20 < cdma.USER_SPACE_LOAD_LIMIT * 64
     with pytest.raises(NumericalError):
         mmse_sinr_exact(sigs, 1e200, None, 1e-200)
 

@@ -33,7 +33,7 @@ needs_two_cpus = pytest.mark.skipif(
 def _in_process(cfg, profile, receiver, model, trials, seed):
     rng = np.random.default_rng(seed)
     seqs = rng.bit_generator.seed_seq.spawn(trials)
-    return experiments._trial_means(cfg, profile, receiver, model, np.random.PCG64, seqs)
+    return experiments._trial_means(cfg, profile, receiver, model, seqs)
 
 
 def _python(code, *, script=None, **kwargs):
@@ -141,6 +141,44 @@ def test_generator_without_a_seed_sequence_is_refused_by_name(model):
     rng = np.random.Generator(np.random.RandomState(0)._bit_generator)
     with pytest.raises(InvalidParameterError, match="SeedSequence"):
         empirical_cdma_sinr(cfg, None, "mf", model, 4, rng)
+
+
+def _forbid_trials(monkeypatch):
+    """Make any trial, in-process or in a worker, fail the test."""
+
+    def started(*args):
+        raise AssertionError("a trial ran or a worker was started")
+
+    monkeypatch.setattr(experiments, "_submit_to_workers", started)
+    monkeypatch.setattr(experiments, "_trial_means", started)
+
+
+@pytest.mark.parametrize(
+    "receiver, model, name",
+    [
+        ("zf", "selective", "receiver 'zf'"),
+        ("MF", "selective", "receiver 'MF'"),
+        ("mf", "rayleigh", "channel model 'rayleigh'"),
+    ],
+    ids=["zf", "MF", "rayleigh"],
+)
+def test_unknown_receiver_or_model_is_refused_before_any_worker(monkeypatch, receiver, model, name):
+    # An unknown receiver must not fall through to the MMSE kernel, and an
+    # unknown model must be refused before the pool starts.
+    _forbid_trials(monkeypatch)
+    cfg = SystemConfig(n_subcarriers=32, alpha=0.25, multipath_taps=4)
+    with pytest.raises(InvalidParameterError, match=f"unknown {name}"):
+        empirical_cdma_sinr(cfg, None, receiver, model, 4, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("model", ["awgn", "selective"])
+def test_generator_other_than_pcg64_is_refused_before_any_draw(monkeypatch, model):
+    _forbid_trials(monkeypatch)
+    cfg = SystemConfig(n_subcarriers=16, cdma_users=3, ofdma_users=0, multipath_taps=2)
+    rng = np.random.Generator(np.random.MT19937(np.random.SeedSequence(3)))
+    with pytest.raises(InvalidParameterError, match="PCG64 generator seeded from a SeedSequence"):
+        empirical_cdma_sinr(cfg, None, "mf", model, 4, rng)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
 @needs_two_cpus
