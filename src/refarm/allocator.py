@@ -442,6 +442,11 @@ def _recover(problem, owner, best, upper):
     return best, upper
 
 
+def _relative_gap(upper, best):
+    """Relative gap of the bound ``upper`` over ``best``, clipped at 0: it can round below."""
+    return max(0.0, float(upper - best[0]) / max(best[0], 1e-12))
+
+
 def _minimize_dual(problem, max_iterations, state):
     """Central-cut ellipsoid minimization of the dual; returns the best recovered primal."""
     # Above these prices no candidate power is positive and the dual only
@@ -471,8 +476,7 @@ def _minimize_dual(problem, max_iterations, state):
         if t == 1 or t % RECOVERY_INTERVAL == 0:
             best, upper = _recover(problem, best_owner, best, upper)
             recovered = best_owner
-        # Clipped at 0: a tight bound can fall a rounding below the primal.
-        state.gap_trace.append(max(0.0, float(upper - best[0]) / max(best[0], 1e-12)))
+        state.gap_trace.append(_relative_gap(upper, best))
         if powers is not None:
             _record(state, problem, t, center[0], center[1:].copy(), powers)
         # The recovered throughput is also a lower bound on the dual.
@@ -483,7 +487,7 @@ def _minimize_dual(problem, max_iterations, state):
         shape = dim**2 / (dim**2 - 1.0) * (shape - 2.0 / (dim + 1) * np.outer(step, step))
     if best_owner is not recovered:  # recovering it again would change nothing
         best, upper = _recover(problem, best_owner, best, upper)
-    state.gap_trace.append(max(0.0, float(upper - best[0]) / max(best[0], 1e-12)))
+    state.gap_trace.append(_relative_gap(upper, best))
     return best
 
 

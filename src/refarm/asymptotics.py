@@ -25,7 +25,7 @@ import numpy as np
 
 from .cdma import profile_array
 from .channel import ChannelSet
-from .config import RECEIVERS
+from .config import RECEIVERS, check_choice
 from .errors import InvalidParameterError, NumericalError
 
 FIXED_POINT_TOL = 1e-10
@@ -53,11 +53,6 @@ def _validate_positive(**kwargs):
     for name, value in kwargs.items():
         if value <= 0:
             raise InvalidParameterError(f"{name} must be > 0")
-
-
-def _check_receiver(receiver):
-    if receiver not in RECEIVERS:
-        raise InvalidParameterError(f"receiver must be one of {RECEIVERS}")
 
 
 def _mmse_map(x, alpha, q, prof, sigma2) -> float:
@@ -124,7 +119,7 @@ def supportable_load(q, sigma2, beta_star, receiver: str) -> float:
     noise-limited SINR; infeasibility is a returned state, not an error.
     """
     _validate_positive(q=q, sigma2=sigma2, beta_star=beta_star)
-    _check_receiver(receiver)
+    check_choice("receiver", receiver, RECEIVERS)
     base = 1.0 / beta_star - sigma2 / q
     if receiver == "mf":
         return base

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CHANNEL_MODELS, SystemConfig
+from .config import CHANNEL_MODELS, SystemConfig, check_choice
 from .errors import InvalidParameterError
 
 
@@ -103,13 +103,8 @@ def _substream_normals(seq: np.random.SeedSequence, n_children: int, size: int) 
     vectorized pass; NumPy seeds each child's PCG64 from the hashed words.
     ``n_children_spawned`` is read-only, so unlike ``seq.spawn`` this does
     not advance it: a later ``seq.spawn`` returns these same children
-    again.  Raises InvalidParameterError unless ``seq`` is a SeedSequence
-    (None stands for a side of any generator but a SeedSequence-seeded PCG64).
+    again.
     """
-    if type(seq) is not np.random.SeedSequence:
-        raise InvalidParameterError(
-            "user substreams need a PCG64 generator seeded from a SeedSequence"
-        )
     # mix_entropy takes pool_size hash steps per word of the parent's
     # zero-padded entropy, so the index word's hash constants start after
     # pool_size * n_words steps.  The index is hashmix-ed and mixed into
@@ -134,6 +129,19 @@ def _substream_normals(seq: np.random.SeedSequence, n_children: int, size: int) 
     for row, seed in zip(normals, seeds):
         np.random.Generator(np.random.PCG64(child_seed(seed))).standard_normal(out=row)
     return normals
+
+
+def seed_sequence(rng: np.random.Generator) -> np.random.SeedSequence:
+    """The SeedSequence that every stream drawn from ``rng`` is spawned from.
+
+    Raises InvalidParameterError unless ``rng`` is a PCG64 generator
+    seeded from a SeedSequence, as ``np.random.default_rng`` gives.
+    """
+    bits = rng.bit_generator
+    seq = bits.seed_seq if type(bits) is np.random.PCG64 else None
+    if type(seq) is not np.random.SeedSequence:
+        raise InvalidParameterError("rng must be a PCG64 generator seeded from a SeedSequence")
+    return seq
 
 
 def _complex_taps(normals: np.ndarray) -> np.ndarray:
@@ -214,16 +222,11 @@ def gen_channel_set(cfg: SystemConfig, model: str, rng: np.random.Generator) -> 
     from the sides themselves, so no Generator is built for them, and the
     children are seeded directly by ``_substream_normals``; a fixed master
     seed reproduces the set bit for bit and per-user generation may run in
-    parallel.  ``rng`` must be backed by PCG64 seeded from a SeedSequence,
-    as ``np.random.default_rng`` gives; any other generator raises
-    InvalidParameterError for a side with users, unless the model is
-    ``awgn``, which draws nothing.
+    parallel.  ``rng`` must pass :func:`seed_sequence`, for every model.
     """
-    if model not in CHANNEL_MODELS:
-        raise InvalidParameterError(f"unknown channel model {model!r}")
-    seq = rng.bit_generator.seed_seq if type(rng.bit_generator) is np.random.PCG64 else None
-    # Only a SeedSequence spawns the sides; None is refused where a side draws.
-    sides = seq.spawn(2) if type(seq) is np.random.SeedSequence else (None, None)
+    seq = seed_sequence(rng)
+    check_choice("channel model", model, CHANNEL_MODELS)
+    sides = seq.spawn(2)
     cdma = _user_responses(cfg.cdma_users, cfg.n_subcarriers, cfg.multipath_taps, model, sides[0])
     ofdma = _user_responses(cfg.ofdma_users, cfg.n_subcarriers, cfg.multipath_taps, model, sides[1])
     return ChannelSet(cdma=cdma, ofdma=ofdma)

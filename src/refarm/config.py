@@ -24,6 +24,12 @@ RECEIVERS = ("mf", "mmse")
 CHANNEL_MODELS = ("selective", "flat", "awgn")
 
 
+def check_choice(what: str, value, known: tuple):
+    """Refuse a name outside ``known``, such as a receiver or a channel model."""
+    if value not in known:
+        raise InvalidParameterError(f"unknown {what} {value!r}, not one of {known}")
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert a dB quantity to linear scale."""
     return float(10.0 ** (np.asarray(value_db, dtype=float) / 10.0))

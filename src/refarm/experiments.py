@@ -54,8 +54,8 @@ from .cdma import (
     mf_sinr_exact,
     mmse_sinr_exact,
 )
-from .channel import gen_channel_set
-from .config import CHANNEL_MODELS, RECEIVERS, SystemConfig, db_to_linear
+from .channel import gen_channel_set, seed_sequence
+from .config import CHANNEL_MODELS, RECEIVERS, SystemConfig, check_choice, db_to_linear
 from .errors import InvalidParameterError
 
 #: Master seed used by the command-line interface when none is given.
@@ -113,8 +113,8 @@ class SweepSpec:
             raise InvalidParameterError("grid must be nonempty and strictly increasing")
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
-        if self.receiver not in RECEIVERS:
-            raise InvalidParameterError(f"receiver must be one of {RECEIVERS}")
+        check_choice("receiver", self.receiver, RECEIVERS)
+        check_choice("channel model", self.channel_model, CHANNEL_MODELS)
 
 
 @dataclass
@@ -233,18 +233,9 @@ def _run_trials(calls):
             cfg, profile, receiver, model, trials, rng = call
             if trials < 1:
                 raise InvalidParameterError("trials must be >= 1")
-            for name, value, known in (
-                ("receiver", receiver, RECEIVERS),
-                ("channel model", model, CHANNEL_MODELS),
-            ):
-                if value not in known:
-                    raise InvalidParameterError(f"unknown {name} {value!r}, not one of {known}")
-            bits = rng.bit_generator
-            seed_seq = bits.seed_seq if type(bits) is np.random.PCG64 else None
-            if type(seed_seq) is not np.random.SeedSequence:
-                raise InvalidParameterError(
-                    "rng must be a PCG64 generator seeded from a SeedSequence, to spawn the trials"
-                )
+            check_choice("receiver", receiver, RECEIVERS)
+            check_choice("channel model", model, CHANNEL_MODELS)
+            seed_seq = seed_sequence(rng)
             users, n = cfg.cdma_users, cfg.n_subcarriers
             if users * max(users, n) > MAX_SIMULATED_ENTRIES:
                 raise InvalidParameterError(

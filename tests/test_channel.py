@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from refarm import InvalidParameterError, SystemConfig, freq_response, gen_channel_set, gen_multipath_taps
-from refarm.channel import _substream_normals, _word_count
+from refarm.channel import _substream_normals, _word_count, seed_sequence
+from refarm.experiments import empirical_cdma_sinr
 
 
 def test_single_tap_has_unit_ensemble_power():
@@ -179,18 +180,27 @@ def test_channel_set_refuses_a_generator_it_cannot_reproduce():
 
 @pytest.mark.parametrize("model", ["selective", "flat", "awgn"])
 def test_channel_set_from_a_generator_with_no_seed_sequence(model):
-    # A Generator over a RandomState's stream has no SeedSequence to spawn
-    # the sides from: the drawing models refuse it by name, and AWGN draws
-    # nothing.
+    # Neither an MT19937 stream nor a Generator over a RandomState's stream
+    # spawns PCG64 sides.  Every model refuses both, AWGN too though it
+    # draws nothing, with the Monte Carlo's own message.
     cfg = SystemConfig(n_subcarriers=8, cdma_users=2, ofdma_users=1, multipath_taps=2)
-    rng = np.random.Generator(np.random.RandomState(0)._bit_generator)
-    if model == "awgn":
-        channels = gen_channel_set(cfg, model, rng)
-        np.testing.assert_array_equal(channels.cdma, np.ones((2, 8)))
-        np.testing.assert_array_equal(channels.ofdma, np.ones((1, 8)))
-    else:
-        with pytest.raises(InvalidParameterError, match="PCG64"):
+    for bits in (np.random.MT19937(0), np.random.RandomState(0)._bit_generator):
+        rng = np.random.Generator(bits)
+        with pytest.raises(InvalidParameterError) as channels:
             gen_channel_set(cfg, model, rng)
+        with pytest.raises(InvalidParameterError) as trials:
+            empirical_cdma_sinr(cfg, None, "mf", model, 4, rng)
+        assert str(channels.value) == str(trials.value) == (
+            "rng must be a PCG64 generator seeded from a SeedSequence"
+        )
+
+
+@pytest.mark.parametrize("spawned", [False, True], ids=["root", "child"])
+def test_seed_sequence_is_the_generators_own(spawned):
+    rng = np.random.default_rng(42)
+    if spawned:
+        rng = rng.spawn(1)[0]
+    assert seed_sequence(rng) is rng.bit_generator.seed_seq
 
 
 def test_channel_set_rejects_more_taps_than_subcarriers():

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
-from refarm import SolverOptions, SystemConfig, experiments, linear_to_db
+from refarm import (
+    InterferenceProfile,
+    InvalidParameterError,
+    SolverOptions,
+    SystemConfig,
+    experiments,
+    gen_channel_set,
+    interference_margin,
+    linear_to_db,
+    supportable_load,
+)
 from refarm.experiments import (
     SweepSpec,
+    empirical_cdma_sinr,
     run_allocation_snapshot,
     run_convergence_trace,
     run_load_sweep,
@@ -188,9 +199,6 @@ def test_mmse_overprotection_shrinks_with_dimension():
     gaps = {}
     for n in (64, 256):
         cfg = SystemConfig(n_subcarriers=n, alpha=1.4, ofdma_users=2, multipath_taps=n // 8)
-        from refarm import interference_margin, InterferenceProfile
-        from refarm.experiments import empirical_cdma_sinr
-
         margin = interference_margin(cfg.alpha, cfg.q, cfg.sigma2, cfg.beta_star, "mmse")
         profile = InterferenceProfile.uniform(margin.margin, n)
         mean, _, _ = empirical_cdma_sinr(
@@ -198,3 +206,40 @@ def test_mmse_overprotection_shrinks_with_dimension():
         )
         gaps[n] = abs(linear_to_db(mean) - linear_to_db(cfg.beta_star))
     assert gaps[256] <= gaps[64] + 0.02
+
+
+UNKNOWN_RECEIVER = "unknown receiver 'zf', not one of ('mf', 'mmse')"
+UNKNOWN_MODEL = "unknown channel model 'rayleigh', not one of ('selective', 'flat', 'awgn')"
+ENTRY_POINTS = {
+    "SweepSpec": lambda receiver, model: small_spec(receiver=receiver, channel_model=model),
+    "supportable_load": lambda receiver, model: supportable_load(100.0, 1.0, 1.5, receiver),
+    "interference_margin": lambda receiver, model: interference_margin(
+        0.2, 100.0, 1.0, 1.5, receiver
+    ),
+    "empirical_cdma_sinr": lambda receiver, model: empirical_cdma_sinr(
+        SMALL, None, receiver, model, 4, np.random.default_rng(1)
+    ),
+    "gen_channel_set": lambda receiver, model: gen_channel_set(
+        SMALL, model, np.random.default_rng(1)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, name",
+    [
+        ("SweepSpec", "zf"),
+        ("supportable_load", "zf"),
+        ("interference_margin", "zf"),
+        ("empirical_cdma_sinr", "zf"),
+        ("SweepSpec", "rayleigh"),
+        ("gen_channel_set", "rayleigh"),
+        ("empirical_cdma_sinr", "rayleigh"),
+    ],
+)
+def test_every_entry_point_refuses_an_unknown_name_with_one_message(entry, name):
+    # The other name is valid, so each call is refused for this one alone.
+    receiver, model = (name, "selective") if name == "zf" else ("mf", name)
+    with pytest.raises(InvalidParameterError) as refused:
+        ENTRY_POINTS[entry](receiver, model)
+    assert str(refused.value) == (UNKNOWN_RECEIVER if name == "zf" else UNKNOWN_MODEL)
