@@ -22,10 +22,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import cli_io
 from .errors import ConfigError, InvalidParameterError, NumericalError
@@ -33,7 +32,6 @@ from .experiments import (
     DEFAULT_SEED,
     MARGIN_COLUMNS,
     VALIDATION_COLUMNS,
-    SweepSpec,
     margin_rows,
     run_allocation,
     run_allocation_snapshot,
@@ -78,16 +76,14 @@ def _build_parser():
     return parser
 
 
-def _cmd_margin(settings, args, out):
+def _cmd_margin(spec, args, out):
     path = out / "margin.csv"
-    cli_io.emit_csv(margin_rows(settings.system), MARGIN_COLUMNS, path)
+    cli_io.emit_csv(margin_rows(spec.system), MARGIN_COLUMNS, path)
     return [path]
 
 
-def _cmd_allocate(settings, args, out):
-    snapshot, summary = run_allocation(
-        settings.system, settings.receiver, settings.channel_model, args.seed, settings.solver
-    )
+def _cmd_allocate(spec, args, out):
+    snapshot, summary = run_allocation(spec)
     alloc_path = out / "allocation.csv"
     summary_path = out / "allocation_summary.csv"
     cli_io.emit_csv(snapshot.rows, snapshot.columns, alloc_path)
@@ -95,40 +91,27 @@ def _cmd_allocate(settings, args, out):
     return [alloc_path, summary_path]
 
 
-def _cmd_sweep(settings, args, out):
+def _cmd_sweep(spec, args, out):
     # The runners are looked up per call, so a wrapper put on them sees it.
     if args.command == "sweep-load":
-        parameter, run, name = "alpha", run_load_sweep, "sweep_load.csv"
+        result, name = run_load_sweep(spec), "sweep_load.csv"
     else:
-        parameter, run, name = "receive_snr_db", run_snr_sweep, "sweep_snr.csv"
-    spec = SweepSpec(
-        grid=np.asarray(settings.grid or cli_io.DEFAULT_GRIDS[parameter]),
-        receiver=settings.receiver,
-        base=settings.system,
-        trials=settings.trials,
-        seed=args.seed,
-        channel_model=settings.channel_model,
-        solver=settings.solver,
-    )
-    result = run(spec)
+        result, name = run_snr_sweep(spec), "sweep_snr.csv"
     path = out / name
     cli_io.emit_csv(result.rows, result.columns, path)
     return [path]
 
 
-def _cmd_regime(settings, args, out):
+def _cmd_regime(spec, args, out):
     run = run_convergence_trace if args.command == "trace" else run_allocation_snapshot
-    result = run(
-        settings.system, args.regime, settings.receiver, settings.channel_model,
-        args.seed, settings.solver,
-    )
+    result = run(spec, args.regime)
     path = out / f"{args.command}_{args.regime}.csv"
     cli_io.emit_csv(result.rows, result.columns, path)
     return [path]
 
 
-def _cmd_validate(settings, args, out):
-    rows = run_sinr_validation(settings.system, trials=settings.trials, seed=args.seed)
+def _cmd_validate(spec, args, out):
+    rows = run_sinr_validation(spec.system, trials=spec.trials, seed=spec.seed)
     path = out / "validation.csv"
     cli_io.emit_csv(rows, VALIDATION_COLUMNS, path)
     return [path]
@@ -154,11 +137,11 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        settings = cli_io.parse_config(args.config, args.overrides)
+        spec = dataclasses.replace(cli_io.parse_config(args.config, args.overrides), seed=args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        cli_io.emit_resolved_config(settings, out / "resolved_config.ini")
-        paths = _COMMANDS[args.command](settings, args, out)
+        cli_io.emit_resolved_config(spec, out / "resolved_config.ini")
+        paths = _COMMANDS[args.command](spec, args, out)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

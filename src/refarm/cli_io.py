@@ -11,13 +11,13 @@ internal computation is linear.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .allocator import SolverOptions
-from .config import CHANNEL_MODELS, RECEIVERS, SystemConfig, db_to_linear
+from .config import SystemConfig, db_to_linear
 from .errors import ConfigError, InvalidParameterError
+from .experiments import RunSpec
 
 # key -> (parser, default); None default means "derived later".
 _SYSTEM_KEYS = {
@@ -29,11 +29,11 @@ _SYSTEM_KEYS = {
     "target_sinr_db": ("float", 2.0),
     "noise_power": ("float", 1.0),
     "power_cap_db": ("float_list", (30.0,)),
-    "receiver": ("choice:" + ",".join(RECEIVERS), "mf"),
-    "channel_model": ("choice:" + ",".join(CHANNEL_MODELS), "selective"),
+    "receiver": ("str", "mf"),
+    "channel_model": ("str", "selective"),
 }
 _SWEEP_KEYS = {
-    "grid": ("grid", ()),  # empty: the sweep command's DEFAULT_GRIDS entry
+    "grid": ("grid", ()),  # empty: the sweep's experiments.DEFAULT_GRIDS entry
     "trials": ("int", 200),
 }
 _SOLVER_KEYS = {
@@ -41,25 +41,6 @@ _SOLVER_KEYS = {
     "gap_tolerance": ("float", 1e-3),
 }
 _SECTIONS = {"system": _SYSTEM_KEYS, "sweep": _SWEEP_KEYS, "solver": _SOLVER_KEYS}
-
-DEFAULT_GRIDS = {
-    "alpha": tuple(np.round(np.arange(0.05, 1.56, 0.10), 10)),
-    "receive_snr_db": tuple(float(db) for db in range(4, 31, 2)),
-}
-
-
-@dataclass
-class RunSettings:
-    """Fully resolved configuration for one CLI invocation."""
-
-    system: SystemConfig
-    receiver: str
-    channel_model: str
-    grid: tuple  # empty: the sweep command's DEFAULT_GRIDS entry
-    trials: int
-    solver: SolverOptions
-    raw: dict = field(compare=False)
-
 
 # Each grid point is a full sweep point: one allocation solve plus
 # ``trials`` Monte Carlo trials, about a second at the defaults.  A
@@ -110,10 +91,7 @@ def _parse_value(kind: str, text: str, key: str):
             return _finite(tuple(float(p) for p in text.split(",")), text, key)
         if kind == "grid":
             return _finite(_parse_grid(text, key), text, key)
-        if kind.startswith("choice:"):
-            choices = kind.split(":", 1)[1].split(",")
-            if text not in choices:
-                raise ConfigError(f"key {key!r} must be one of {choices}, got {text!r}")
+        if kind == "str":
             return text
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"could not parse value for key {key!r}: {exc}") from exc
@@ -133,7 +111,7 @@ def _locate_key(name: str):
     raise ConfigError(f"unknown key {name!r}")
 
 
-def parse_config(path=None, overrides=()) -> RunSettings:
+def parse_config(path=None, overrides=()) -> RunSpec:
     """Read a config file (optional) and apply ``key=value`` overrides.
 
     Raises ConfigError for unknown sections or keys, malformed values and
@@ -193,24 +171,35 @@ def parse_config(path=None, overrides=()) -> RunSettings:
             max_iterations=solver["max_iterations"],
             gap_tolerance=solver["gap_tolerance"],
         )
+        system["multipath"] = cfg.multipath_taps  # as SystemConfig derived it
+        return RunSpec(
+            system=cfg,
+            receiver=system["receiver"],
+            channel_model=system["channel_model"],
+            grid=resolved["sweep"]["grid"],
+            trials=resolved["sweep"]["trials"],
+            solver=options,
+            raw=_ini_text(resolved),
+        )
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    system["multipath"] = cfg.multipath_taps  # as SystemConfig derived it
-    sweep = resolved["sweep"]
-    if sweep["trials"] < 1:
-        raise ConfigError("invariant violated: trials >= 1")
-    grid = tuple(sweep["grid"])
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("invariant violated: grid strictly increasing")
-    return RunSettings(
-        system=cfg,
-        receiver=system["receiver"],
-        channel_model=system["channel_model"],
-        grid=grid,
-        trials=sweep["trials"],
-        solver=options,
-        raw=resolved,
-    )
+
+
+def _ini_text(resolved) -> str:
+    """The resolved configuration as INI text; parsing it back is identity."""
+
+    def text(value):
+        if isinstance(value, tuple):
+            return ",".join(repr(float(v)) for v in value)
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    blocks = [
+        "\n".join([f"[{section}]"] + [f"{key} = {text(resolved[section][key])}" for key in keys])
+        for section, keys in _SECTIONS.items()
+    ]
+    return "\n\n".join(blocks) + "\n"
 
 
 def format_value(value) -> str:
@@ -237,21 +226,7 @@ def emit_csv(rows, columns, path):
         handle.write("\n".join(lines) + "\n")
 
 
-def emit_resolved_config(settings: RunSettings, path):
-    """Write the fully resolved configuration; parsing it back is identity."""
-
-    def text(value):
-        if isinstance(value, tuple):
-            return ",".join(repr(float(v)) for v in value)
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    blocks = [
-        "\n".join(
-            [f"[{section}]"] + [f"{key} = {text(settings.raw[section][key])}" for key in keys]
-        )
-        for section, keys in _SECTIONS.items()
-    ]
+def emit_resolved_config(spec: RunSpec, path):
+    """Write the resolved configuration that ``parse_config`` read into ``spec``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n\n".join(blocks) + "\n")
+        handle.write(spec.raw)

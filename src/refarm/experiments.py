@@ -25,6 +25,9 @@ solves took 0.49-0.57 s of a 3.55-3.94 s pass, and the Monte Carlo ran
 at only 1.57 times its serial speed.  Overlapped, the sweep runs 1.22
 times the points per second (median of 10 paired runs).
 
+Each driver but the validation takes one ``RunSpec``, the run
+description that ``cli_io.parse_config`` builds from a config file.
+
 Information flow mirrors the deployment split: the allocator sees only
 the CDMA design parameters (load, receive SNR, target SINR) through the
 margin, and the CDMA-side evaluation sees only the interference profile
@@ -58,7 +61,7 @@ from .channel import gen_channel_set, seed_sequence
 from .config import CHANNEL_MODELS, RECEIVERS, SystemConfig, check_choice, db_to_linear
 from .errors import InvalidParameterError
 
-#: Master seed used by the command-line interface when none is given.
+#: Master seed of a RunSpec, and so of the command line, when none is given.
 DEFAULT_SEED = 42
 
 #: Environment variables that set the BLAS thread count in a worker process.
@@ -95,22 +98,36 @@ SWEEP_COLUMNS = [
 ]
 
 
-@dataclass
-class SweepSpec:
-    """Grid for a load or receive-SNR sweep; the run function decides what it holds."""
+#: The grid a sweep runs when its spec's grid is empty, by swept parameter.
+DEFAULT_GRIDS = {
+    "alpha": tuple(np.round(np.arange(0.05, 1.56, 0.10), 10)),
+    "receive_snr_db": tuple(float(db) for db in range(4, 31, 2)),
+}
 
-    grid: np.ndarray
-    receiver: str
-    base: SystemConfig = field(default_factory=SystemConfig)
+
+@dataclass
+class RunSpec:
+    """Everything one run reads: the system, receiver, channel model, grid, trials, seed, solver.
+
+    Each driver reads the fields it needs; an empty ``grid`` is the
+    sweep's ``DEFAULT_GRIDS`` entry.  ``raw`` is the resolved INI text
+    that ``cli_io.emit_resolved_config`` writes, kept as parsed because
+    dB values do not survive a round trip through their linear form.
+    """
+
+    system: SystemConfig = field(default_factory=SystemConfig)
+    receiver: str = "mf"
+    channel_model: str = "selective"
+    grid: tuple = ()
     trials: int = 200
     seed: int = DEFAULT_SEED
-    channel_model: str = "selective"
     solver: SolverOptions = field(default_factory=SolverOptions)
+    raw: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        if self.grid.size == 0 or np.any(np.diff(self.grid) <= 0):
-            raise InvalidParameterError("grid must be nonempty and strictly increasing")
+        self.grid = tuple(float(v) for v in self.grid)
+        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+            raise InvalidParameterError("grid must be strictly increasing")
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
         check_choice("receiver", self.receiver, RECEIVERS)
@@ -326,15 +343,15 @@ def _allocation_instance(cfg, receiver, gains):
     return result, problem
 
 
-def _solve_instance(cfg, receiver, model, seed, solver):
+def _solve_instance(spec: RunSpec):
     """Draw OFDMA gains from the master seed, then build and solve the instance.
 
     Returns ``(margin result, problem, allocation, dual state, throughput)``.
     """
-    master = np.random.default_rng(seed)
-    gains = gen_channel_set(cfg.replace(cdma_users=0), model, master).ofdma_gains
-    result, problem = _allocation_instance(cfg, receiver, gains)
-    alloc, state, rate = solve_p1(problem, solver)
+    cfg, master = spec.system, np.random.default_rng(spec.seed)
+    gains = gen_channel_set(cfg.replace(cdma_users=0), spec.channel_model, master).ofdma_gains
+    result, problem = _allocation_instance(cfg, spec.receiver, gains)
+    alloc, state, rate = solve_p1(problem, spec.solver)
     return result, problem, alloc, state, rate
 
 
@@ -360,14 +377,14 @@ def allocation_rows(alloc: PowerAllocation, gains: np.ndarray):
     return rows, columns
 
 
-def _sweep_point(cfg, receiver, model, trials, gains, rng, solver):
-    """Margin -> allocation -> profile -> theory for one point.
+def _sweep_point(spec: RunSpec, cfg, gains, rng):
+    """Margin -> allocation -> profile -> theory for one point at cfg.
 
     Returns the row, whose empirical cells are still NaN, and the
     ``empirical_cdma_sinr`` arguments of its trials, or None at an
     infeasible point.
     """
-    result, problem = _allocation_instance(cfg, receiver, gains)
+    result, problem = _allocation_instance(cfg, spec.receiver, gains)
     row = {
         "feasible": result.feasible,
         "margin": result.margin,
@@ -379,32 +396,35 @@ def _sweep_point(cfg, receiver, model, trials, gains, rng, solver):
     }
     if not result.feasible or result.margin <= 0:
         return row, None
-    alloc, state, rate = solve_p1(problem, solver)
+    alloc, state, rate = solve_p1(problem, spec.solver)
     profile = InterferenceProfile.from_allocation(alloc.powers, gains)
     row.update(
         ofdma_throughput=rate,
-        cdma_sinr_theory=_theory_sinr(receiver, cfg.alpha, cfg.q, profile, cfg.sigma2),
+        cdma_sinr_theory=_theory_sinr(spec.receiver, cfg.alpha, cfg.q, profile, cfg.sigma2),
         solver_iterations=state.iteration,
     )
-    return row, (cfg, profile, receiver, model, trials, rng)
+    return row, (cfg, profile, spec.receiver, spec.channel_model, spec.trials, rng)
 
 
-def _sweep(spec: SweepSpec, parameter: str, configs) -> SweepResult:
-    """Solve every point, handing its trials to ``_run_trials``; fill in their means."""
+def _sweep(spec: RunSpec, parameter: str, point_config) -> SweepResult:
+    """Solve every point, handing its trials to ``_run_trials``; fill in their means.
+
+    ``point_config`` maps a grid value to the system at that point.
+    """
+    grid = spec.grid or DEFAULT_GRIDS[parameter]
+    configs = [point_config(value) for value in grid]  # a bad value is refused before any draw
     master = np.random.default_rng(spec.seed)
     ofdma_rng, empirical_root = master.spawn(2)
     gains = gen_channel_set(
-        spec.base.replace(cdma_users=0), spec.channel_model, ofdma_rng
+        spec.system.replace(cdma_users=0), spec.channel_model, ofdma_rng
     ).ofdma_gains
-    point_rngs = empirical_root.spawn(len(configs))
+    point_rngs = empirical_root.spawn(len(grid))
     rows = []
 
     def calls():
-        for value, cfg, rng in zip(spec.grid, configs, point_rngs):
-            row, call = _sweep_point(
-                cfg, spec.receiver, spec.channel_model, spec.trials, gains, rng, spec.solver
-            )
-            rows.append({parameter: float(value), **row})
+        for value, cfg, rng in zip(grid, configs, point_rngs):
+            row, call = _sweep_point(spec, cfg, gains, rng)
+            rows.append({parameter: value, **row})
             yield call
 
     for row, (mean, std, _) in zip(rows, _run_trials(calls())):
@@ -412,56 +432,51 @@ def _sweep(spec: SweepSpec, parameter: str, configs) -> SweepResult:
     return SweepResult(rows=rows, columns=[parameter] + SWEEP_COLUMNS)
 
 
-def run_load_sweep(spec: SweepSpec) -> SweepResult:
+def run_load_sweep(spec: RunSpec) -> SweepResult:
     """Sweep the CDMA load at fixed receive SNR."""
-    configs = [spec.base.replace(alpha=float(a)) for a in spec.grid]
-    return _sweep(spec, "alpha", configs)
+    return _sweep(spec, "alpha", lambda alpha: spec.system.replace(alpha=alpha))
 
 
-def run_snr_sweep(spec: SweepSpec) -> SweepResult:
+def run_snr_sweep(spec: RunSpec) -> SweepResult:
     """Sweep the CDMA receive SNR (dB grid) at fixed load."""
-    configs = [
-        spec.base.replace(q=db_to_linear(float(db)) * spec.base.sigma2) for db in spec.grid
-    ]
-    return _sweep(spec, "receive_snr_db", configs)
+    sigma2 = spec.system.sigma2
+    return _sweep(
+        spec, "receive_snr_db", lambda db: spec.system.replace(q=db_to_linear(db) * sigma2)
+    )
 
 
 @dataclass
-class TraceResult:
+class InstanceTable:
+    """One solved instance: its CSV rows and columns, and what they were made from."""
+
     rows: list
     columns: list
-    allocation: PowerAllocation
     problem: AllocationProblem
+    allocation: PowerAllocation
     throughput: float
-    converged: bool
     duality_gap: float
 
 
 def _regime_config(cfg: SystemConfig, load_regime: str, receiver: str) -> SystemConfig:
-    if load_regime not in REGIME_LOAD_FRACTION:
-        raise InvalidParameterError("load_regime must be 'light' or 'heavy'")
+    check_choice("load regime", load_regime, tuple(REGIME_LOAD_FRACTION))
     limit = supportable_load(cfg.q, cfg.sigma2, cfg.beta_star, receiver)
     if limit <= 0:
         raise InvalidParameterError("no supportable load at this operating point")
     return cfg.replace(alpha=REGIME_LOAD_FRACTION[load_regime] * limit)
 
 
-def run_convergence_trace(
-    cfg: SystemConfig,
-    load_regime: str,
-    receiver: str = "mf",
-    channel_model: str = "selective",
-    seed: int = DEFAULT_SEED,
-    solver: SolverOptions | None = None,
-) -> TraceResult:
+def run_convergence_trace(spec: RunSpec, load_regime: str) -> InstanceTable:
     """Per-iteration dual/primal evolution for one light- or heavy-load solve.
 
     One row per record of the solve's ``DualState.trace``, whose last
     record is the returned allocation.
     """
-    point = _regime_config(cfg, load_regime, receiver)
-    options = replace(solver or SolverOptions(), record_trace=True)
-    _, problem, alloc, state, rate = _solve_instance(point, receiver, channel_model, seed, options)
+    point = replace(
+        spec,
+        system=_regime_config(spec.system, load_regime, spec.receiver),
+        solver=replace(spec.solver, record_trace=True),
+    )
+    _, problem, alloc, state, rate = _solve_instance(point)
 
     n_users = problem.n_users
     columns = (
@@ -478,59 +493,27 @@ def run_convergence_trace(
             row[f"lambda_{k + 1}"] = record["lambdas"][k]
             row[f"power_{k + 1}"] = record["user_power"][k]
         rows.append(row)
-    return TraceResult(
-        rows=rows,
-        columns=columns,
-        allocation=alloc,
-        problem=problem,
-        throughput=rate,
-        converged=state.converged,
-        duality_gap=state.gap_trace[-1],
-    )
+    return InstanceTable(rows, columns, problem, alloc, rate, state.gap_trace[-1])
 
 
-@dataclass
-class SnapshotResult:
-    rows: list
-    columns: list
-    allocation: PowerAllocation
-    problem: AllocationProblem
-    throughput: float
-
-
-def run_allocation_snapshot(
-    cfg: SystemConfig,
-    load_regime: str,
-    receiver: str = "mf",
-    channel_model: str = "selective",
-    seed: int = DEFAULT_SEED,
-    solver: SolverOptions | None = None,
-) -> SnapshotResult:
-    """Per-subcarrier owner/power/gain table for one solved instance."""
-    point = _regime_config(cfg, load_regime, receiver)
-    snapshot, _ = run_allocation(point, receiver, channel_model, seed, solver)
+def run_allocation_snapshot(spec: RunSpec, load_regime: str) -> InstanceTable:
+    """Per-subcarrier owner/power/gain table for one light- or heavy-load solve."""
+    point = replace(spec, system=_regime_config(spec.system, load_regime, spec.receiver))
+    snapshot, _ = run_allocation(point)
     return snapshot
 
 
-def run_allocation(
-    cfg: SystemConfig,
-    receiver: str = "mf",
-    channel_model: str = "selective",
-    seed: int = DEFAULT_SEED,
-    solver: SolverOptions | None = None,
-) -> tuple[SnapshotResult, dict]:
-    """Solve one instance at cfg's own load: the snapshot table plus a summary row.
+def run_allocation(spec: RunSpec) -> tuple[InstanceTable, dict]:
+    """Solve one instance at the spec's own load: the snapshot table plus a summary row.
 
     Solves even at an infeasible load, with zero margin.  The summary's
     keys are its column order.
     """
-    result, problem, alloc, state, rate = _solve_instance(
-        cfg, receiver, channel_model, seed, solver
-    )
+    result, problem, alloc, state, rate = _solve_instance(spec)
     rows, columns = allocation_rows(alloc, problem.gains)
     summary = {
-        "receiver": receiver,
-        "alpha": cfg.alpha,
+        "receiver": spec.receiver,
+        "alpha": spec.system.alpha,
         "margin": result.margin,
         "feasible": result.feasible,
         "throughput": rate,
@@ -541,9 +524,7 @@ def run_allocation(
     }
     for k, total in enumerate(alloc.user_totals()):
         summary[f"power_{k + 1}"] = total
-    snapshot = SnapshotResult(
-        rows=rows, columns=columns, allocation=alloc, problem=problem, throughput=rate
-    )
+    snapshot = InstanceTable(rows, columns, problem, alloc, rate, state.gap_trace[-1])
     return snapshot, summary
 
 

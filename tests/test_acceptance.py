@@ -30,7 +30,7 @@ from refarm import (
 from refarm.cdma import mf_filter_output_sinr
 from refarm.channel import freq_response, gen_multipath_taps
 from refarm.experiments import (
-    SweepSpec,
+    RunSpec,
     empirical_cdma_sinr,
     run_convergence_trace,
     run_load_sweep,
@@ -56,7 +56,7 @@ def report(criterion, detail):
 def load_sweeps_20db():
     return {
         receiver: run_load_sweep(
-            SweepSpec(grid=LOAD_GRID, receiver=receiver, base=DEFAULTS, trials=200, seed=42)
+            RunSpec(system=DEFAULTS, receiver=receiver, grid=LOAD_GRID, trials=200, seed=42)
         )
         for receiver in ("mf", "mmse")
     }
@@ -67,7 +67,7 @@ def load_sweeps_10db():
     base = DEFAULTS.replace(q=db_to_linear(10.0))
     return {
         receiver: run_load_sweep(
-            SweepSpec(grid=LOAD_GRID, receiver=receiver, base=base, trials=10, seed=42)
+            RunSpec(system=base, receiver=receiver, grid=LOAD_GRID, trials=10, seed=42)
         )
         for receiver in ("mf", "mmse")
     }
@@ -80,7 +80,7 @@ def snr_sweeps():
         for alpha in (0.05, 0.2):
             base = DEFAULTS.replace(alpha=alpha)
             out[(receiver, alpha)] = run_snr_sweep(
-                SweepSpec(grid=SNR_GRID, receiver=receiver, base=base, trials=20, seed=42)
+                RunSpec(system=base, receiver=receiver, grid=SNR_GRID, trials=20, seed=42)
             )
     return out
 
@@ -153,7 +153,7 @@ def test_criterion_4_dual_solver_vs_oracle():
 def test_criterion_5_regime_dichotomy():
     lines = []
     for regime in ("light", "heavy"):
-        result = run_convergence_trace(DEFAULTS, regime, "mf", seed=42)
+        result = run_convergence_trace(RunSpec(system=DEFAULTS, receiver="mf", seed=42), regime)
         alloc, problem = result.allocation, result.problem
         totals = alloc.user_totals()
         sbar = alloc.mean_interference(problem.gains)

@@ -13,7 +13,8 @@ import refarm
 from refarm import ConfigError, InvalidParameterError, SystemConfig, db_to_linear
 from refarm import cli_io, experiments
 from refarm.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
-from refarm.cli_io import DEFAULT_GRIDS, emit_csv, format_value, parse_config
+from refarm.cli_io import emit_csv, format_value, parse_config
+from refarm.experiments import DEFAULT_GRIDS
 
 
 def test_empty_file_yields_default_operating_point(tmp_path):
@@ -76,7 +77,7 @@ def test_non_default_table_covers_every_config_key():
 
 @pytest.mark.parametrize("key", _NON_DEFAULT_VALUES)
 def test_every_config_key_changes_the_run_settings(key):
-    # RunSettings compares without ``raw``, the resolved text of every key.
+    # RunSpec compares without ``raw``, the resolved text of every key.
     changed = parse_config(None, [f"{key}={_NON_DEFAULT_VALUES[key]}"])
     assert changed != parse_config(None)
 
@@ -95,6 +96,12 @@ def test_documented_config_keys_are_the_parsed_keys():
     assert documented == {section: list(keys) for section, keys in cli_io._SECTIONS.items()}
     count = int(re.search(r"\((\d+) in all\)", _doc("docs", "csv_schemas.md")).group(1))
     assert count == sum(len(keys) for keys in cli_io._SECTIONS.values())
+
+
+def test_readme_library_example_runs_as_written():
+    block = re.search(r"```python\n(.*?)```", _doc("README.md"), re.S).group(1)
+    words = _run_python(block)
+    assert words[0] == "throughput" and "bits/symbol," in words
 
 
 def test_unknown_key_is_named():
@@ -342,14 +349,25 @@ def test_empty_grid_sweeps_the_commands_default_grid(tmp_path, command, csv, par
     assert "grid = " in (out / "resolved_config.ini").read_text().splitlines()
 
 
-def test_rerun_from_a_sweep_snr_resolved_config_reproduces_its_csv(tmp_path):
+@pytest.mark.parametrize(
+    "command, csvs",
+    [
+        (["sweep-snr"], ["sweep_snr.csv"]),
+        (["allocate"], ["allocation.csv", "allocation_summary.csv"]),
+        (["trace", "--regime", "light"], ["trace_light.csv"]),
+        (["snapshot", "--regime", "heavy"], ["snapshot_heavy.csv"]),
+    ],
+    ids=["sweep-snr", "allocate", "trace", "snapshot"],
+)
+def test_rerun_from_the_resolved_config_reproduces_the_csvs(tmp_path, command, csvs):
     first, rerun = tmp_path / "first", tmp_path / "rerun"
     args = ["--quiet", *TINY, "--set", "receiver=mmse", "--trials", "2"]
-    assert main(["--out", str(first), *args, "sweep-snr"]) == EXIT_OK
+    assert main(["--out", str(first), *args, *command]) == EXIT_OK
     config = first / "resolved_config.ini"
-    assert "grid = " in config.read_text().splitlines()  # no alpha grid recorded
-    assert main(["--out", str(rerun), "--quiet", "--config", str(config), "sweep-snr"]) == EXIT_OK
-    assert (rerun / "sweep_snr.csv").read_bytes() == (first / "sweep_snr.csv").read_bytes()
+    assert "grid = " in config.read_text().splitlines()  # no grid recorded
+    assert main(["--out", str(rerun), "--quiet", "--config", str(config), *command]) == EXIT_OK
+    for name in csvs:
+        assert (rerun / name).read_bytes() == (first / name).read_bytes(), name
     assert (rerun / "resolved_config.ini").read_bytes() == config.read_bytes()
 
 

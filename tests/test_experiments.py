@@ -13,7 +13,7 @@ from refarm import (
     supportable_load,
 )
 from refarm.experiments import (
-    SweepSpec,
+    RunSpec,
     empirical_cdma_sinr,
     run_allocation_snapshot,
     run_convergence_trace,
@@ -21,6 +21,8 @@ from refarm.experiments import (
     run_sinr_validation,
     run_snr_sweep,
 )
+
+from refarm.cli import EXIT_CONFIG, main
 
 from oracles import solve_p2_waterfill
 
@@ -36,13 +38,13 @@ def small_spec(**kwargs):
     defaults = dict(
         grid=np.array([0.1, 0.3, 0.5]),
         receiver="mf",
-        base=SMALL,
+        system=SMALL,
         trials=5,
         seed=11,
         solver=FAST_SOLVER,
     )
     defaults.update(kwargs)
-    return SweepSpec(**defaults)
+    return RunSpec(**defaults)
 
 
 def test_load_sweep_deterministic():
@@ -79,7 +81,7 @@ def test_snr_sweep_runs_and_is_monotone_in_theory_sinr():
 
 
 def test_trace_light_regime_consumes_full_power():
-    result = run_convergence_trace(SMALL, "light", "mf", seed=3, solver=FAST_SOLVER)
+    result = run_convergence_trace(small_spec(seed=3), "light")
     final = result.rows[-1]
     caps = np.asarray(SMALL.power_caps)
     for k, cap in enumerate(caps):
@@ -93,7 +95,7 @@ def test_trace_light_regime_consumes_full_power():
 
 def test_trace_heavy_regime_pins_interference():
     cfg = SMALL
-    result = run_convergence_trace(cfg, "heavy", "mf", seed=3, solver=FAST_SOLVER)
+    result = run_convergence_trace(small_spec(system=cfg, seed=3), "heavy")
     final = result.rows[-1]
     assert final["mean_interference"] == pytest.approx(result.problem.margin, rel=1e-4)
     assert final["delta"] > 0
@@ -105,14 +107,14 @@ def test_trace_heavy_regime_pins_interference():
 
 def test_trace_with_zero_caps_ends_on_zero_prices():
     cfg = SMALL.replace(power_caps=(0.0, 0.0))
-    result = run_convergence_trace(cfg, "heavy", "mf", seed=3, solver=FAST_SOLVER)
+    result = run_convergence_trace(small_spec(system=cfg, seed=3), "heavy")
     final = result.rows[-1]
     assert final["delta"] == 0.0 and final["throughput"] == 0.0
     assert final["lambda_1"] == 0.0 and final["lambda_2"] == 0.0
 
 
 def test_trace_iteration_column_and_gap_trace():
-    result = run_convergence_trace(SMALL, "heavy", "mf", seed=5, solver=FAST_SOLVER)
+    result = run_convergence_trace(small_spec(seed=5), "heavy")
     iterations = [row["iteration"] for row in result.rows]
     assert iterations == sorted(iterations)
     gaps = np.array([row["duality_gap"] for row in result.rows])
@@ -129,7 +131,7 @@ def test_trace_rows_are_the_solver_trace(monkeypatch):
         return solved
 
     monkeypatch.setattr(experiments, "solve_p1", recording)
-    result = run_convergence_trace(SMALL, "light", "mf", seed=3, solver=FAST_SOLVER)
+    result = run_convergence_trace(small_spec(seed=3), "light")
     records = states[0].trace
     assert len(result.rows) == len(records) > 1
     for row, record in zip(result.rows, records):
@@ -142,7 +144,7 @@ def test_trace_rows_are_the_solver_trace(monkeypatch):
 
 
 def test_snapshot_heavy_is_channel_inverse():
-    result = run_allocation_snapshot(SMALL, "heavy", "mf", seed=7, solver=FAST_SOLVER)
+    result = run_allocation_snapshot(small_spec(seed=7), "heavy")
     received = np.array([row["received_power"] for row in result.rows])
     active = received > 0
     cv = received[active].std() / received[active].mean()
@@ -150,7 +152,7 @@ def test_snapshot_heavy_is_channel_inverse():
 
 
 def test_snapshot_heavy_owner_has_better_gain():
-    result = run_allocation_snapshot(SMALL, "heavy", "mf", seed=7, solver=FAST_SOLVER)
+    result = run_allocation_snapshot(small_spec(seed=7), "heavy")
     for row in result.rows:
         if row["owner"] >= 0:
             gains = [row["gain_1"], row["gain_2"]]
@@ -158,7 +160,7 @@ def test_snapshot_heavy_owner_has_better_gain():
 
 
 def test_snapshot_light_water_filling_shape():
-    result = run_allocation_snapshot(SMALL, "light", "mf", seed=7, solver=FAST_SOLVER)
+    result = run_allocation_snapshot(small_spec(seed=7), "light")
     # Among one user's active subcarriers the power is increasing in gain.
     for user in (0, 1):
         rows = [r for r in result.rows if r["owner"] == user and r["power"] > 0]
@@ -169,7 +171,7 @@ def test_snapshot_light_water_filling_shape():
 
 def test_snapshot_light_single_user_equals_waterfill():
     cfg = SystemConfig(n_subcarriers=32, alpha=0.05, ofdma_users=1, multipath_taps=4)
-    result = run_allocation_snapshot(cfg, "light", "mf", seed=9, solver=FAST_SOLVER)
+    result = run_allocation_snapshot(small_spec(system=cfg, seed=9), "light")
     gains = np.array([row["gain_1"] for row in result.rows])
     reference = solve_p2_waterfill(gains, cfg.power_caps[0], result.problem.noise_floor)
     powers = np.array([row["power"] for row in result.rows])
@@ -211,7 +213,7 @@ def test_mmse_overprotection_shrinks_with_dimension():
 UNKNOWN_RECEIVER = "unknown receiver 'zf', not one of ('mf', 'mmse')"
 UNKNOWN_MODEL = "unknown channel model 'rayleigh', not one of ('selective', 'flat', 'awgn')"
 ENTRY_POINTS = {
-    "SweepSpec": lambda receiver, model: small_spec(receiver=receiver, channel_model=model),
+    "RunSpec": lambda receiver, model: small_spec(receiver=receiver, channel_model=model),
     "supportable_load": lambda receiver, model: supportable_load(100.0, 1.0, 1.5, receiver),
     "interference_margin": lambda receiver, model: interference_margin(
         0.2, 100.0, 1.0, 1.5, receiver
@@ -225,21 +227,59 @@ ENTRY_POINTS = {
 }
 
 
+def _cli_refusal(tmp_path, capsys, *args):
+    """What ``sweep-load`` prints on stderr when it exits 2 writing no file."""
+    out = tmp_path / "run"
+    assert main(["--out", str(out), *args, "sweep-load"]) == EXIT_CONFIG
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "entry, name",
     [
-        ("SweepSpec", "zf"),
+        ("RunSpec", "zf"),
         ("supportable_load", "zf"),
         ("interference_margin", "zf"),
         ("empirical_cdma_sinr", "zf"),
-        ("SweepSpec", "rayleigh"),
+        ("cli", "zf"),
+        ("RunSpec", "rayleigh"),
         ("gen_channel_set", "rayleigh"),
         ("empirical_cdma_sinr", "rayleigh"),
+        ("cli", "rayleigh"),
     ],
 )
-def test_every_entry_point_refuses_an_unknown_name_with_one_message(entry, name):
+def test_every_entry_point_refuses_an_unknown_name_with_one_message(
+    tmp_path, capsys, entry, name
+):
     # The other name is valid, so each call is refused for this one alone.
     receiver, model = (name, "selective") if name == "zf" else ("mf", name)
+    message = UNKNOWN_RECEIVER if name == "zf" else UNKNOWN_MODEL
+    if entry == "cli":
+        names = ["--set", f"receiver={receiver}", "--set", f"channel_model={model}"]
+        assert _cli_refusal(tmp_path, capsys, *names) == f"error: {message}\n"
+        return
     with pytest.raises(InvalidParameterError) as refused:
         ENTRY_POINTS[entry](receiver, model)
-    assert str(refused.value) == (UNKNOWN_RECEIVER if name == "zf" else UNKNOWN_MODEL)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, fields, message",
+    [
+        (["--trials", "0"], {"trials": 0}, "trials must be >= 1"),
+        (["--set", "grid=4,2,1"], {"grid": (4.0, 2.0, 1.0)}, "grid must be strictly increasing"),
+    ],
+    ids=["trials", "grid"],
+)
+def test_the_cli_refuses_a_bad_run_spec_with_its_message(tmp_path, capsys, args, fields, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        RunSpec(**fields)
+    assert _cli_refusal(tmp_path, capsys, *args) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("run", [run_convergence_trace, run_allocation_snapshot])
+def test_an_unknown_load_regime_is_refused_by_name(run):
+    with pytest.raises(InvalidParameterError) as refused:
+        run(small_spec(), "medium")
+    assert str(refused.value) == "unknown load regime 'medium', not one of ('light', 'heavy')"

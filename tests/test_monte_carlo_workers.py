@@ -16,7 +16,7 @@ import refarm
 from refarm import InterferenceProfile, SolverOptions, SystemConfig, experiments
 from refarm.errors import InvalidParameterError, NumericalError
 from refarm.experiments import (
-    SweepSpec,
+    RunSpec,
     empirical_cdma_sinr,
     run_load_sweep,
     run_sinr_validation,
@@ -307,10 +307,10 @@ SWEEPS = {
 
 def _sweep(name, trials=6):
     run, grid, receiver = SWEEPS[name]
-    spec = SweepSpec(
+    spec = RunSpec(
         grid=np.array(grid),
         receiver=receiver,
-        base=SMALL,
+        system=SMALL,
         trials=trials,
         seed=11,
         solver=SolverOptions(max_iterations=600),
@@ -414,10 +414,10 @@ def test_a_worker_error_mid_grid_reaches_the_caller(monkeypatch):
     base = SystemConfig(
         n_subcarriers=4, cdma_users=3, ofdma_users=1, multipath_taps=1, power_caps=(1e-3,)
     )
-    spec = SweepSpec(
+    spec = RunSpec(
         grid=np.array([20.0, 140.0, 160.0]),
         receiver="mmse",
-        base=base,
+        system=base,
         trials=20,
         channel_model="awgn",
     )
