@@ -68,6 +68,9 @@ EXHAUSTIVE_LIMIT = 4096
 #: Changing this constant changes the returned allocations and the CSVs.
 RECOVERY_INTERVAL = 250
 
+#: Absolute slack that ``PowerAllocation.validate`` allows on each cap and the margin.
+VALIDATE_TOL = 1e-9
+
 #: Relative accuracy of the restricted solve's Newton iterations on the
 #: spend of each cap and on the received power.  Newton converges
 #: quadratically, so float rounding is reached a step or two later than
@@ -147,15 +150,15 @@ class PowerAllocation:
     def is_exclusive(self) -> bool:
         return bool(np.all(np.sum(self.powers > 0, axis=0) <= 1))
 
-    def validate(self, problem: AllocationProblem, tol: float = 1e-9):
-        """Raise unless exclusivity, caps and the margin all hold within tol."""
+    def validate(self, problem: AllocationProblem):
+        """Raise unless exclusivity, caps and the margin all hold within ``VALIDATE_TOL``."""
         if not self.is_exclusive():
             raise InvalidParameterError("allocation violates subcarrier exclusivity")
         if not np.all((self.powers >= 0) & np.isfinite(self.powers)):
             raise InvalidParameterError("allocation powers must be finite and >= 0")
-        if np.any(self.user_totals() > problem.power_caps + tol):
+        if np.any(self.user_totals() > problem.power_caps + VALIDATE_TOL):
             raise InvalidParameterError("allocation exceeds a power cap")
-        if self.mean_interference(problem.gains) > problem.margin + tol:
+        if self.mean_interference(problem.gains) > problem.margin + VALIDATE_TOL:
             raise InvalidParameterError("allocation exceeds the interference margin")
 
 

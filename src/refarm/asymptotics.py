@@ -28,8 +28,11 @@ from .channel import ChannelSet
 from .config import RECEIVERS, check_choice
 from .errors import InvalidParameterError, NumericalError
 
+#: Bound on the relative error of the root that mmse_fixed_point_uniform returns.
 FIXED_POINT_TOL = 1e-10
-FIXED_POINT_MAX_ITER = 10_000
+#: Unlimited, Newton took at most 46 steps (about log2(sqrt(q)) halvings near alpha = 1) on the
+#: inputs it solved of a 0-3000 dB, 22-load, 5-profile grid; rounding refused all taking over 100.
+FIXED_POINT_MAX_ITER = 100
 
 
 @dataclass
@@ -55,9 +58,11 @@ def _validate_positive(**kwargs):
             raise InvalidParameterError(f"{name} must be > 0")
 
 
-def _mmse_map(x, alpha, q, prof, sigma2) -> float:
-    """The self-consistent MMSE map at x: E_n[q / (alpha q/(1+x) + sigma_n^2 + sigma2)]."""
-    return float(np.mean(q / (alpha * q / (1.0 + x) + prof + sigma2)))
+def _mmse_map(x, alpha, q, prof, sigma2) -> tuple[float, float]:
+    """T(x) = E_n[T_n], T_n = q / (alpha q/(1+x) + sigma_n^2 + sigma2), and its slope
+    T'(x) = alpha E_n[(T_n/(1+x))^2], divided before it is squared so no finite q overflows."""
+    terms = q / (alpha * q / (1.0 + x) + prof + sigma2)
+    return float(np.mean(terms)), float(alpha * np.mean((terms / (1.0 + x)) ** 2))
 
 
 def mf_asymptotic_selective(channels: ChannelSet, q, profile, sigma2) -> np.ndarray:
@@ -87,29 +92,34 @@ def mf_asymptotic_uniform(alpha, q, mean_interference, sigma2) -> float:
     return q / (alpha * q + mean_interference + sigma2)
 
 
-def mmse_fixed_point_uniform(alpha, q, profile, sigma2, x0=None) -> FixedPointSolution:
+def mmse_fixed_point_uniform(alpha, q, profile, sigma2) -> FixedPointSolution:
     """Scalar MMSE SINR limit under rich multipath.
 
     ``profile`` may be an InterferenceProfile, a length-N vector, a scalar
-    level (treated as uniform), or None (no sharing).
+    level (treated as uniform), or None (no sharing).  Newton on the concave
+    h(x) = T(x) - x descends from q/sigma2 to the root (Ortega and Rheinboldt)
+    and returns it within ``FIXED_POINT_TOL``, or raises NumericalError.
     """
     _validate_positive(q=q, sigma2=sigma2)
     if alpha < 0:
         raise InvalidParameterError("alpha must be >= 0")
     prof = profile_array(profile)
-    x = q / sigma2 if x0 is None else float(x0)
+    x = q / sigma2
     if not 0 < x < np.inf:
-        raise InvalidParameterError("start point x0 must be finite and > 0")
+        raise InvalidParameterError(f"q / sigma2 must be finite and > 0, got {x}")
     for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
-        x_next = _mmse_map(x, alpha, q, prof, sigma2)
-        residual = abs(x_next - x) / max(1.0, abs(x_next))
-        x = x_next
-        if residual <= FIXED_POINT_TOL:
-            return FixedPointSolution(value=x, iterations=iteration)
-    raise NumericalError(
-        f"fixed point did not converge in {FIXED_POINT_MAX_ITER} iterations"
-        f" (residual {residual:.3e})"
-    )
+        value, slope = _mmse_map(x, alpha, q, prof, sigma2)
+        if not slope < 1.0:
+            raise NumericalError(f"MMSE fixed point unresolved: T'({x:.6g}) = {slope!r}, not < 1")
+        step = (value - x) / (1.0 - slope)
+        # How far rounding in T(x) - x, a few eps of T(x) + x, moves the step.
+        rounding = 4 * np.finfo(float).eps * (value + x) / (1.0 - slope)
+        if value <= x and -step <= rounding:
+            if rounding > FIXED_POINT_TOL * x:
+                raise NumericalError(f"MMSE fixed point unresolved: error bound {rounding / x:.1e}")
+            return FixedPointSolution(value=x + step, iterations=iteration)
+        x += step
+    raise NumericalError(f"MMSE fixed point did not converge in {FIXED_POINT_MAX_ITER} iterations")
 
 
 def supportable_load(q, sigma2, beta_star, receiver: str) -> float:
@@ -150,8 +160,7 @@ def proposition1_check(beta_star, alpha, q, sigma2, profile) -> bool:
     the target; evaluates the self-consistent map once at the target.
     """
     _validate_positive(q=q, sigma2=sigma2, beta_star=beta_star)
-    prof = profile_array(profile)
-    return _mmse_map(beta_star, alpha, q, prof, sigma2) >= beta_star * (1.0 - 1e-12)
+    return _mmse_map(beta_star, alpha, q, profile_array(profile), sigma2)[0] >= beta_star * (1 - 1e-12)
 
 
 def jensen_reinforcement_gap(beta, alpha, q, sigma2, profile) -> tuple[float, float]:
@@ -163,5 +172,5 @@ def jensen_reinforcement_gap(beta, alpha, q, sigma2, profile) -> tuple[float, fl
     """
     _validate_positive(q=q, sigma2=sigma2)
     prof = profile_array(profile)
-    return _mmse_map(beta, alpha, q, prof, sigma2), _mmse_map(beta, alpha, q, prof.mean(), sigma2)
+    return tuple(_mmse_map(beta, alpha, q, levels, sigma2)[0] for levels in (prof, prof.mean()))
 

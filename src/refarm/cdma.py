@@ -52,10 +52,10 @@ SOLVE_RESIDUAL_TOL = 1e-10
 #: 2 U^2 N + 13/6 U^3 = 3 N^2 U + N^3/6, but accuracy is what keeps it: the
 #: measured crossover at N = 256 (one BLAS thread, median of 15 calls) is
 #: 0.64-0.68 N, yet the U x U residual check is the stricter on
-#: ill-conditioned systems.  For 3 users on 4 chips at 140 dB (AWGN, 200
-#: code draws) the N x N check passes every draw with SINRs up to 1.9 %
-#: off, from cancellation in 1 - with_self, while the U x U check refuses
-#: 73 draws and passes the rest within 0.34 %.
+#: ill-conditioned systems.  For 3 users on 4 chips at 140 dB (AWGN, 200 code
+#: draws) the N x N check passes every draw with SINRs up to 2.1 % off, from
+#: cancellation in 1 - with_self, while the U x U check refuses 76 draws and
+#: passes the rest within 1.2e-16 of an exact rational oracle.
 USER_SPACE_LOAD_LIMIT = 0.8382313079713307
 
 # Every Monte Carlo trial used to allocate and free about a dozen
@@ -283,7 +283,7 @@ def _scipy_linalg():
 
 
 def _chip_space_solve(signatures, q, prof, sigma2):
-    """Self-term SINRs q e_u^H R^-1 e_u and the column norms of R Y - S.
+    """Self-term SINRs w_u = q e_u^H R^-1 e_u, 1 - w_u and the column norms of R Y - S.
 
     R = q S S^H + diag(prof + sigma2) is built, factored and applied in
     its lower triangle only; Y solves R Y = S.
@@ -307,13 +307,13 @@ def _chip_space_solve(signatures, q, prof, sigma2):
     error = linalg.blas.zhemm(1.0, cov, solved, beta=-1.0, c=error, lower=1, overwrite_c=1)
     # Re(e_u^H y_u) is the dot product of the two float views.
     with_self = q * np.einsum("ij,ij->i", signatures.view(float), solved.T.view(float))
-    return with_self, _row_norms(error.T)
+    return with_self, 1.0 - with_self, _row_norms(error.T)
 
 
 def _user_space_solve(signatures, q, prof, sigma2):
-    """Self-term SINRs 1 - X_uu with X = A^-1, A = I + q G, and the column
-    norms of S (A X - I), the residual that the equivalent N-space
-    solution Y = D^-1 S X leaves."""
+    """Self-term SINRs 1 - X_uu with X = A^-1, A = I + q G, X_uu itself, and
+    the column norms of S (A X - I), the residual that the equivalent
+    N-space solution Y = D^-1 S X leaves."""
     n_users, n = signatures.shape
     conj_rows, scaled, system, defect, error = _workspace_views(
         (n, n_users), (n, n_users), (n_users, n_users), (n_users, n_users), (n, n_users)
@@ -331,7 +331,8 @@ def _user_space_solve(signatures, q, prof, sigma2):
     defect = np.matmul(system, inverse, out=defect.T)
     defect[np.diag_indices(n_users)] -= 1.0
     error = np.matmul(defect.T, signatures, out=error.T)  # rows are (S (A X - I))^T
-    return 1.0 - np.real(np.diagonal(inverse)), _row_norms(error)
+    diagonal = np.real(np.diagonal(inverse))
+    return 1.0 - diagonal, diagonal, _row_norms(error)
 
 
 def mmse_sinr_exact(signatures, q, profile, sigma2) -> np.ndarray:
@@ -359,10 +360,10 @@ def mmse_sinr_exact(signatures, q, profile, sigma2) -> np.ndarray:
     # sigma2 = 1e-200); the checks below fail closed on the inf or NaN
     # that results, so the arithmetic need not warn on its way there.
     with np.errstate(over="ignore", invalid="ignore"):
-        with_self, error_norms = solve(signatures, q, prof, sigma2)
+        with_self, without_self, error_norms = solve(signatures, q, prof, sigma2)
         residual = error_norms / norms
     if not np.all(residual <= SOLVE_RESIDUAL_TOL):
         raise NumericalError(f"linear solve residual {residual.max():.2e} above tolerance")
-    if not np.all(with_self < 1.0):
+    if not np.all(without_self > 0):
         raise NumericalError("self-term SINR reached 1; covariance numerically singular")
-    return with_self / (1.0 - with_self)
+    return with_self / without_self

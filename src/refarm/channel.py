@@ -22,7 +22,6 @@ documented SeedSequence hash does (NEP 19).  The streams are the
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,26 +47,6 @@ _STATE_HASH = np.array(
     [_HASH_INIT_B * pow(_HASH_MULT_B, k, 1 << 32) & _MASK32 for k in range(_SEED_WORDS + 1)],
     dtype=np.uint32,
 )
-
-
-def _word_count(value) -> int:
-    """How many uint32 words SeedSequence makes of its entropy or spawn key.
-
-    An int takes as many words as its bits need, and 0 takes one.  A str
-    item is read as NumPy reads it: hexadecimal after a ``0x`` prefix, else
-    decimal if it starts with an ASCII digit.  A str that NumPy refuses is
-    refused here too.
-    """
-    if isinstance(value, str) and re.match("[0-9]", value):
-        try:
-            value = int(value, 16 if value.startswith("0x") else 10)
-        except ValueError:
-            pass  # still a str: refused below
-    if isinstance(value, (int, np.integer)):
-        return max(1, -(-int(value).bit_length() // 32))
-    if isinstance(value, (list, tuple, range, np.ndarray)):
-        return sum(_word_count(item) for item in value)
-    raise InvalidParameterError(f"cannot reproduce SeedSequence entropy {value!r}")
 
 
 @functools.cache
@@ -109,7 +88,8 @@ def _substream_normals(seq: np.random.SeedSequence, n_children: int, size: int) 
     # zero-padded entropy, so the index word's hash constants start after
     # pool_size * n_words steps.  The index is hashmix-ed and mixed into
     # each pool word in turn.
-    n_words = max(_word_count(seq.entropy), seq.pool_size) + _word_count(seq.spawn_key)
+    words = np.random.bit_generator._coerce_to_uint32_array  # as SeedSequence counts them
+    n_words = max(len(words(seq.entropy)), seq.pool_size) + len(words(seq.spawn_key))
     steps = range(seq.pool_size * n_words, seq.pool_size * (n_words + 1) + 1)
     consts = np.array(
         [_HASH_INIT_A * pow(_HASH_MULT_A, k, 1 << 32) & _MASK32 for k in steps], dtype=np.uint32

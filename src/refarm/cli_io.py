@@ -15,30 +15,30 @@ import configparser
 import numpy as np
 
 from .allocator import SolverOptions
-from .config import SystemConfig, db_to_linear
+from .config import DEFAULT_POWER_CAP_DB, DEFAULT_RECEIVE_SNR_DB, DEFAULT_TARGET_SINR_DB, SystemConfig, db_to_linear
 from .errors import ConfigError, InvalidParameterError
 from .experiments import RunSpec
 
 # key -> (parser, default); None default means "derived later".
 _SYSTEM_KEYS = {
-    "subcarriers": ("int", 256),
-    "alpha": ("float", 0.2),
-    "ofdma_users": ("int", 2),
-    "multipath": ("optional_int", None),
-    "receive_snr_db": ("float", 20.0),
-    "target_sinr_db": ("float", 2.0),
-    "noise_power": ("float", 1.0),
-    "power_cap_db": ("float_list", (30.0,)),
-    "receiver": ("str", "mf"),
-    "channel_model": ("str", "selective"),
+    "subcarriers": ("int", SystemConfig.n_subcarriers),
+    "alpha": ("float", SystemConfig.alpha),
+    "ofdma_users": ("int", SystemConfig.ofdma_users),
+    "multipath": ("optional_int", SystemConfig.multipath_taps),
+    "receive_snr_db": ("float", DEFAULT_RECEIVE_SNR_DB),
+    "target_sinr_db": ("float", DEFAULT_TARGET_SINR_DB),
+    "noise_power": ("float", SystemConfig.sigma2),
+    "power_cap_db": ("float_list", (DEFAULT_POWER_CAP_DB,)),
+    "receiver": ("str", RunSpec.receiver),
+    "channel_model": ("str", RunSpec.channel_model),
 }
 _SWEEP_KEYS = {
-    "grid": ("grid", ()),  # empty: the sweep's experiments.DEFAULT_GRIDS entry
-    "trials": ("int", 200),
+    "grid": ("grid", RunSpec.grid),  # empty: the sweep's experiments.DEFAULT_GRIDS entry
+    "trials": ("int", RunSpec.trials),
 }
 _SOLVER_KEYS = {
-    "max_iterations": ("int", 5000),
-    "gap_tolerance": ("float", 1e-3),
+    "max_iterations": ("int", SolverOptions.max_iterations),
+    "gap_tolerance": ("float", SolverOptions.gap_tolerance),
 }
 _SECTIONS = {"system": _SYSTEM_KEYS, "sweep": _SWEEP_KEYS, "solver": _SOLVER_KEYS}
 

@@ -59,7 +59,7 @@ from .cdma import (
 )
 from .channel import gen_channel_set, seed_sequence
 from .config import CHANNEL_MODELS, RECEIVERS, SystemConfig, check_choice, db_to_linear
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalError
 
 #: Master seed of a RunSpec, and so of the command line, when none is given.
 DEFAULT_SEED = 42
@@ -150,6 +150,7 @@ def _trial_means(cfg, profile, receiver, model, trial_seqs):
 
     Each trial's two children seed the PCG64 streams of its codes and its
     channels.  It runs in-process and in the workers, on checked arguments.
+    A NumericalError is raised again naming the run, point and trial, alike on any worker count.
     """
     cdma_only = cfg.replace(ofdma_users=0)
     means = np.empty(len(trial_seqs))
@@ -159,7 +160,13 @@ def _trial_means(cfg, profile, receiver, model, trial_seqs):
         channels = gen_channel_set(cdma_only, model, chan_rng)
         signatures = effective_signatures(codes, channels)
         kernel = mf_sinr_exact if receiver == "mf" else mmse_sinr_exact
-        means[i] = np.mean(kernel(signatures, cfg.q, profile, cfg.sigma2))
+        try:
+            means[i] = np.mean(kernel(signatures, cfg.q, profile, cfg.sigma2))
+        except NumericalError as exc:
+            raise NumericalError(
+                f"{exc} ({receiver} receiver, {model} channels, alpha = {cfg.alpha:g}, receive "
+                f"SNR {cfg.receive_snr_db:g} dB, trial {trial_seq.spawn_key[-1]})"
+            ) from exc
     return means
 
 

@@ -9,12 +9,15 @@ interference margin, the light-regime reference for ``solve_p1``.
 the check on the exact formulas of ``refarm.cdma``; its MMSE filter
 builds the full received covariance and solves it with ``scipy.linalg``,
 so it shares no code with the MMSE kernel it checks.
+``exact_mmse_sinr`` is the MMSE SINR of given float signatures in
+rational arithmetic, exact at any conditioning.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +33,7 @@ from refarm import (
     SystemConfig,
     effective_signatures,
 )
-from refarm.cdma import _check_levels, _check_powers, _check_signatures
+from refarm.cdma import _check_levels, _check_powers, _check_signatures, profile_array
 
 BRUTE_FORCE_MAX_SUBCARRIERS = 6
 BRUTE_FORCE_MAX_USERS = 2
@@ -246,3 +249,38 @@ def simulate_uplink_frame(
     ) / n_slots
     stderr = per_user * np.sqrt(rel_var)
     return FrameMeasurement(per_user=per_user, stderr=stderr, residual_power=residual_power)
+
+
+def exact_mmse_sinr(signatures, q, profile, sigma2) -> list:
+    """The MMSE SINRs 1/[(I + q G)^-1]_uu - 1, G = S^H D^-1 S, as exact Fractions.
+
+    Every float is a rational, so this is exact for the floats given.  The
+    complex U x U matrix I + q G is embedded as the real 2U x 2U one
+    [[Re, -Im], [Im, Re]], whose inverse embeds the complex inverse, and
+    Gauss-Jordan elimination finds its first U diagonal entries.
+    """
+    signatures = np.asarray(signatures, dtype=complex)
+    n_users, n = signatures.shape
+    weights = [1 / (Fraction(p) + Fraction(sigma2)) for p in profile_array(profile, n)] * 2
+    real = [[Fraction(v) for v in row] for row in signatures.real]
+    imag = [[Fraction(v) for v in row] for row in signatures.imag]
+    # The columns of the real embedding of the N x U matrix S.
+    columns = [real[u] + imag[u] for u in range(n_users)]
+    columns += [[-v for v in imag[u]] + real[u] for u in range(n_users)]
+    size, q = 2 * n_users, Fraction(q)
+    rows = [
+        [
+            Fraction(i == j) + q * sum(a * b * w for a, b, w in zip(columns[i], columns[j], weights))
+            for j in range(size)
+        ]
+        + [Fraction(i == j) for j in range(size)]
+        for i in range(size)
+    ]
+    for k in range(size):  # positive definite, so no pivoting is needed
+        pivot = rows[k][k]
+        rows[k] = [v / pivot for v in rows[k]]
+        for i in range(size):
+            if i != k and rows[i][k]:
+                factor = rows[i][k]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[k])]
+    return [1 / rows[u][size + u] - 1 for u in range(n_users)]

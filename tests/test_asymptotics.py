@@ -1,10 +1,15 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from refarm import asymptotics
 from refarm import (
     ChannelSet,
     InterferenceProfile,
     InvalidParameterError,
+    NumericalError,
     SystemConfig,
     db_to_linear,
     gen_channel_set,
@@ -92,18 +97,119 @@ def test_uniform_fixed_point_saturates_target_at_margin():
     assert solution.value == pytest.approx(BETA, rel=1e-8)
 
 
-def test_uniform_fixed_point_start_invariance():
-    values = [
-        mmse_fixed_point_uniform(0.2, Q, None, SIGMA2, x0=x0).value
-        for x0 in (SIGMA2 / Q, 1.0, Q / SIGMA2)
-    ]
-    assert max(values) - min(values) <= 1e-8 * max(values)
+def _closed_form_root(alpha, q, level, sigma2):
+    """The positive root of s x^2 + (alpha q + s - q) x - q = 0, s = sigma2 + level, to 60 digits.
+
+    It is the uniform-profile MMSE fixed point.  Each branch avoids the
+    cancellation of the other.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = Decimal(level) + Decimal(sigma2)
+        q, alpha = Decimal(q), Decimal(alpha)
+        b = alpha * q + s - q
+        d = (b * b + 4 * s * q).sqrt()
+        return (-b + d) / (2 * s) if b < 0 else 2 * q / (b + d)
 
 
-@pytest.mark.parametrize("x0", [float("nan"), float("inf")])
-def test_uniform_fixed_point_refuses_a_non_finite_start(x0):
-    with pytest.raises(InvalidParameterError, match="x0"):
-        mmse_fixed_point_uniform(0.2, Q, None, SIGMA2, x0=x0)
+def _relative_error(value, root):
+    return float(abs(Decimal(value) - root) / root)
+
+
+@pytest.mark.parametrize("snr_db", [0, 10, 20, 30, 40, 50, 60])
+def test_uniform_fixed_point_is_the_closed_form_root(snr_db):
+    # Within 4.3e-14 on this grid; the step-size stop of plain substitution
+    # left 5.0e-8 at alpha = 1 and 60 dB.
+    q = db_to_linear(snr_db)
+    for alpha in (0.0, 0.05, 0.2, 0.5, 0.99, 1.0, 1.01, 1.55, 3.0):
+        for level in (0.0, 5.0):
+            root = _closed_form_root(alpha, q, level, SIGMA2)
+            value = mmse_fixed_point_uniform(alpha, q, level, SIGMA2).value
+            assert _relative_error(value, root) <= 1e-13, (alpha, level)
+
+
+@pytest.mark.parametrize("alpha", [0.99, 1.0, 1.01])
+@pytest.mark.parametrize("snr_db", [70, 80, 90, 100])
+def test_uniform_fixed_point_near_unit_load_at_high_snr(snr_db, alpha):
+    # Near alpha = 1 the slope of h at the root is about 1/sqrt(q), so
+    # rounding in h bounds the root less tightly: within 3.1e-12 here.
+    # Plain substitution refused alpha = 1 from 80 dB.
+    q = db_to_linear(snr_db)
+    value = mmse_fixed_point_uniform(alpha, q, None, SIGMA2).value
+    assert _relative_error(value, _closed_form_root(alpha, q, 0.0, SIGMA2)) <= 1e-11
+
+
+def test_uniform_fixed_point_rounding_left_of_the_root_is_stepped_back():
+    # From q/sigma2 = 1e40 a rounded Newton step lands left of the root
+    # 0.5; a stop at the first step that fails to decrease returned 0.0.
+    value = mmse_fixed_point_uniform(3.0, 1e40, 5.0, SIGMA2).value
+    assert _relative_error(value, _closed_form_root(3.0, 1e40, 5.0, SIGMA2)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("q", [1e100, 1e160, 1e200, 1e300])
+def test_uniform_fixed_point_at_huge_q_raises_no_warning(q, alpha):
+    # RuntimeWarnings are errors in this suite; the slope written as
+    # alpha E[T_n^2] / (1 + x)^2 overflowed from q = 1e160.
+    value = mmse_fixed_point_uniform(alpha, q, 5.0, SIGMA2).value
+    assert _relative_error(value, _closed_form_root(alpha, q, 5.0, SIGMA2)) <= 1e-13
+
+
+@pytest.mark.parametrize("q", [db_to_linear(110), 1e40, 1e300], ids=["110dB", "400dB", "3000dB"])
+def test_uniform_fixed_point_unresolved_at_unit_load_is_refused_by_name(q):
+    # At alpha = 1, 1 - T' at the root is about 2/sqrt(q), and from 110 dB
+    # the rounding of h bounds the root only to more than FIXED_POINT_TOL.
+    # Further up T' rounds to 1, where a Newton step would divide by 0.
+    with pytest.raises(NumericalError, match="MMSE fixed point unresolved"):
+        mmse_fixed_point_uniform(1.0, q, None, SIGMA2)
+
+
+def test_uniform_fixed_point_refuses_a_slope_that_rounds_to_one(monkeypatch):
+    monkeypatch.setattr(asymptotics, "_mmse_map", lambda x, *args: (x + 1.0, 1.0))
+    with pytest.raises(NumericalError, match="not < 1"):
+        mmse_fixed_point_uniform(0.2, Q, None, SIGMA2)
+
+
+@pytest.mark.parametrize("q, sigma2", [(1e300, 1e-10), (np.inf, SIGMA2), (1.0, np.inf)])
+def test_uniform_fixed_point_refuses_a_non_finite_start_by_name(q, sigma2):
+    with pytest.raises(InvalidParameterError, match="q / sigma2 must be finite"):
+        mmse_fixed_point_uniform(0.2, q, None, sigma2)
+
+
+def _exact_h(x, alpha, q, profile, sigma2):
+    """h(x) = T(x) - x in exact rational arithmetic on the floats given."""
+    x, alpha, q, sigma2 = (Fraction(v) for v in (x, alpha, q, sigma2))
+    terms = [q / (alpha * q / (1 + x) + Fraction(p) + sigma2) for p in profile]
+    return sum(terms) / len(terms) - x
+
+
+def test_uniform_fixed_point_brackets_the_exact_root_on_random_profiles():
+    # The exact h changes sign within k ulps of the returned value, with
+    # k = 4 / (1 - T'): a few ulps where h is steep.  Over 200 draws like
+    # these, ulps times (1 - T') was at most 2.01.
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        alpha, q = rng.uniform(0.0, 3.0), db_to_linear(rng.uniform(0.0, 60.0))
+        profile = rng.uniform(0.0, 20.0, size=16)
+        value = mmse_fixed_point_uniform(alpha, q, profile, SIGMA2).value
+        slope = alpha * np.mean((q / (alpha * q + (profile + SIGMA2) * (1 + value))) ** 2)
+        ulps = int(np.ceil(4 / (1 - slope)))
+        spacing = Fraction(np.spacing(value))
+        assert _exact_h(Fraction(value) - ulps * spacing, alpha, q, profile, SIGMA2) > 0
+        assert _exact_h(Fraction(value) + ulps * spacing, alpha, q, profile, SIGMA2) < 0
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.5, 2.0, 7.3])
+def test_uniform_fixed_point_invariant_under_joint_scaling(scale):
+    # q, sigma2 and the profile in other units give the same SINR: within
+    # 1.5e-15 on these draws, and 5.9e-16 at the parent commit.
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        alpha, q = rng.uniform(0.0, 3.0), db_to_linear(rng.uniform(0.0, 60.0))
+        profile = rng.uniform(0.0, 20.0, size=16)
+        base = mmse_fixed_point_uniform(alpha, q, profile, SIGMA2).value
+        scaled = mmse_fixed_point_uniform(alpha, scale * q, scale * profile, scale * SIGMA2).value
+        assert scaled == pytest.approx(base, rel=1e-14)
 
 
 def test_uniform_map_monotone_from_below():

@@ -23,7 +23,7 @@ from refarm import cdma
 from refarm.cdma import mf_filter_output_sinr
 from refarm.experiments import empirical_cdma_sinr
 
-from oracles import simulate_uplink_frame
+from oracles import exact_mmse_sinr, simulate_uplink_frame
 
 Q = 100.0
 SIGMA2 = 1.0
@@ -527,11 +527,77 @@ def test_mmse_overflowing_system_is_numerical_error():
 def test_mmse_checks_fail_closed_on_nan(with_self, residual, message, monkeypatch):
     def nan_solve(signatures, *args):
         n_users = signatures.shape[0]
-        return np.full(n_users, with_self), np.full(n_users, residual)
+        return (
+            np.full(n_users, with_self),
+            np.full(n_users, 1.0 - with_self),
+            np.full(n_users, residual),
+        )
 
     monkeypatch.setattr(cdma, "_user_space_solve", nan_solve)
     with pytest.raises(NumericalError, match=message):
         mmse_sinr_exact(_signatures(3), Q, None, SIGMA2)
+
+
+@pytest.mark.parametrize(
+    "n_users, n, snr_db, model, draws", [(3, 4, 140, "awgn", 200), (4, 8, 100, "selective", 40)]
+)
+def test_user_space_mmse_matches_an_exact_oracle(n_users, n, snr_db, model, draws):
+    # At 4 chips the AWGN signatures are exact Gaussian rationals (codes
+    # +-1/2, DFT entries +-1/2 and +-i/2).  Passed draws were within
+    # 1.2e-16 at 140 dB, and within 1.7e-15 over 200 selective draws;
+    # dividing by 1 - (1 - X_uu) left them up to 8.0e-4 and 1.1e-6 off.
+    # The 140 dB check refuses 76 of its 200 draws.
+    rng = np.random.default_rng(0)
+    cfg = SystemConfig(n_subcarriers=n, cdma_users=n_users, ofdma_users=0, multipath_taps=n // 2)
+    q, passed = 10.0 ** (snr_db / 10), 0
+    for _ in range(draws):
+        channels = gen_channel_set(cfg, model, rng)
+        signatures = effective_signatures(gen_spreading_codes(n_users, n, rng), channels)
+        try:
+            sinr = mmse_sinr_exact(signatures, q, None, SIGMA2)
+        except NumericalError:
+            continue
+        passed += 1
+        exact = [float(v) for v in exact_mmse_sinr(signatures, q, None, SIGMA2)]
+        np.testing.assert_allclose(sinr, exact, rtol=1e-14)
+    assert passed >= draws // 2
+
+
+# Receiver and user count at N = 64 -> the relations' relative tolerance.
+# At the parent commit they held within 3.2e-15 (MF), 5.0e-15 (MMSE
+# U x U) and 1.2e-14 (MMSE N x N) over 10 draws like these at 20 dB; each
+# tolerance is about four times that.
+_METAMORPHIC = {
+    "mf": (mf_sinr_exact, 20, 1e-14),
+    "mmse-user-space": (mmse_sinr_exact, 20, 2e-14),
+    "mmse-chip-space": (mmse_sinr_exact, 60, 5e-14),
+}
+
+
+@pytest.mark.parametrize("case", _METAMORPHIC.values(), ids=_METAMORPHIC.keys())
+def test_sinr_respects_the_symmetries_of_the_problem(case):
+    # A per-user phase, a permutation of subcarriers (signature columns and
+    # profile together), a permutation of users and a joint change of the
+    # units of q, sigma2 and the profile leave every user's SINR as it was.
+    kernel, n_users, rtol = case
+    n, rng = 64, np.random.default_rng(12)
+    cfg = SystemConfig(n_subcarriers=n, cdma_users=n_users, ofdma_users=0, multipath_taps=8)
+    for _ in range(5):
+        channels = gen_channel_set(cfg, "selective", rng)
+        sigs = effective_signatures(gen_spreading_codes(n_users, n, rng), channels)
+        prof = rng.uniform(0.0, 5.0, n)
+        base = kernel(sigs, Q, prof, SIGMA2)
+        phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n_users))[:, None]
+        columns, users = rng.permutation(n), rng.permutation(n_users)
+        related = {
+            "phase": kernel(sigs * phases, Q, prof, SIGMA2),
+            "subcarriers": kernel(sigs[:, columns], Q, prof[columns], SIGMA2),
+            "users": kernel(sigs[users], Q, prof, SIGMA2)[np.argsort(users)],
+            "units-7.3": kernel(sigs, 7.3 * Q, 7.3 * prof, 7.3 * SIGMA2),
+            "units-1e-3": kernel(sigs, 1e-3 * Q, 1e-3 * prof, 1e-3 * SIGMA2),
+        }
+        for name, values in related.items():
+            np.testing.assert_allclose(values, base, rtol=rtol, atol=0, err_msg=name)
 
 
 def test_sinr_concentrates_across_code_draws():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from refarm import InvalidParameterError, SystemConfig, freq_response, gen_channel_set, gen_multipath_taps
-from refarm.channel import _substream_normals, _word_count, seed_sequence
+from refarm.channel import _substream_normals, seed_sequence
 from refarm.experiments import empirical_cdma_sinr
 
 
@@ -141,16 +141,6 @@ def test_substream_normals_match_spawned_children_of_a_larger_pool():
         for size in (2, 64):
             normals = _substream_normals(rng.bit_generator.seed_seq, n_children, size)
             np.testing.assert_array_equal(normals, _spawned_normals(rng, n_children, size))
-
-
-@pytest.mark.parametrize(
-    "item", ["abc", "0X10", " 7", "0b1", "0x"], ids=["word", "0X", "space", "0b", "bare-0x"]
-)
-def test_str_entropy_numpy_refuses_is_refused_by_name(item):
-    with pytest.raises(ValueError):
-        np.random.SeedSequence([item])
-    with pytest.raises(InvalidParameterError, match=f"entropy '{item}'"):
-        _word_count([7, item])
 
 
 def test_one_user_taps_match_two_draws():

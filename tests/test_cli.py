@@ -40,6 +40,12 @@ def test_no_file_equals_empty_file(tmp_path):
     assert parse_config(path) == parse_config(None)
 
 
+def test_no_file_parses_to_the_default_run_spec():
+    # The key table reads its defaults from RunSpec, SystemConfig and
+    # SolverOptions, so the two cannot drift apart.
+    assert parse_config(None) == experiments.RunSpec()
+
+
 def test_overrides_are_applied():
     settings = parse_config(None, ["alpha=0.4", "receiver=mmse", "sweep.trials=7"])
     assert settings.system.alpha == 0.4
@@ -563,6 +569,37 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     args = [arg for item in overrides for arg in ("--set", item)]
     assert main(["--out", str(tmp_path), *args, "validate"]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("trials", ["1", "200"], ids=["serial", "pooled"])
+def test_numerical_failure_names_where_it_happened(tmp_path, capsys, trials):
+    # The 100 dB point's first trial fails the residual check of its solve;
+    # one worker or several, the message is the same.
+    overrides = [
+        "subcarriers=4", "multipath=1", "alpha=0.75", "receiver=mmse", "channel_model=awgn",
+        "grid=20:140:40", f"trials={trials}",
+    ]
+    args = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["--out", str(tmp_path), *args, "sweep-snr"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: linear solve residual 9.57e-10 above tolerance (mmse receiver, awgn"
+        " channels, alpha = 0.75, receive SNR 100 dB, trial 0)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--trials", "100", "--set", "receive_snr_db=80", "validate"],
+        ["--trials", "100", "--set", "receive_snr_db=100", "validate"],
+        ["--set", "receiver=mmse", "--set", "grid=40:100:20", "sweep-snr"],
+    ],
+    ids=["validate-80dB", "validate-100dB", "sweep-snr-mmse"],
+)
+def test_unit_load_at_high_snr_runs(tmp_path, args):
+    # Plain substitution for the MMSE fixed point needed about sqrt(q)
+    # steps here and stopped these commands with exit 3.
+    assert main(["--out", str(tmp_path), "--quiet", "--set", "alpha=1", *args]) == EXIT_OK
 
 
 def test_without_quiet_each_written_path_is_printed(tmp_path, capsys):
